@@ -69,20 +69,8 @@ DEFAULT_BASELINE = os.path.join(_BENCH_DIR, "BENCH_smoke_baseline.json")
 #: ``match_seconds`` is the wall clock spent inside the basis-matching
 #: engine (informational, like ``seconds``); the match engine's
 #: *deterministic* counters — ``candidates_tested``, ``matches_found`` —
-#: are exact-diffed like every other counter.  The crossover figure's
-#: ``*_crossover_size`` keys are wall-clock-derived (where the backend's
-#: timing curve crosses the reference's), so they vary per host and per
-#: backend; its deterministic counters (``draws_total``,
-#: ``*_agreement``, ...) are exact-diffed like everything else, and are
-#: bitwise-identical for every backend by the backend contract.
-NON_DETERMINISTIC_KEYS = frozenset(
-    {
-        "seconds",
-        "match_seconds",
-        "draw_crossover_size",
-        "validate_crossover_size",
-    }
-)
+#: are exact-diffed like every other counter.
+NON_DETERMINISTIC_KEYS = frozenset({"seconds", "match_seconds"})
 
 
 def _load_run_all():
@@ -459,18 +447,6 @@ def main(argv=None):
         help="shard the sweep; counters must still match the serial baseline",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            "run the sweep on this compute backend (see "
-            "repro.core.backend); by the backend contract of "
-            "bitwise-identical kernels, counters must still match the "
-            "default-backend baseline exactly — the CI optional-deps job "
-            "runs this gate with --backend numba against the one "
-            "committed file"
-        ),
-    )
-    parser.add_argument(
         "--time-factor",
         type=float,
         default=25.0,
@@ -588,8 +564,6 @@ def main(argv=None):
             "--bench-out", out,
             "--workers", str(args.workers),
         ]
-        if args.backend is not None:
-            run_argv += ["--backend", args.backend]
         run_all.main(run_argv)
         with open(out) as handle:
             measured = json.load(handle)

@@ -4,7 +4,7 @@
 Usage::
 
     python benchmarks/run_all.py [--scale smoke|quick|paper] [--workers N]
-                                 [--warm-store DIR] [--backend NAME]
+                                 [--warm-store DIR]
                                  [--out results.txt]
                                  [--bench-out BENCH_run_all.json]
                                  [--data-out figure_data.json]
@@ -49,7 +49,6 @@ import sys
 import time
 
 from repro.bench.figures import (
-    run_crossover,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -63,7 +62,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _classify_baseline(bench_out, scale, workers=1, adaptive=None,
-                       warm=False, backend=None):
+                       warm=False):
     """Classify the file at ``bench_out`` for overwrite/merge decisions.
 
     Returns ``(kind, existing)``; ``kind`` is ``"missing"`` (no file),
@@ -77,11 +76,8 @@ def _classify_baseline(bench_out, scale, workers=1, adaptive=None,
     versa), ``"other-warm"`` (one run warm-started from a persisted
     store, the other did not — warm runs reuse prior-run bases and draw
     fewer samples by design, so their counters must never replace or be
-    merged into a cold baseline, nor vice versa), ``"other-backend"``
-    (measured under a different compute backend — deterministic counters
-    are bitwise-identical across backends by contract, but the wall
-    clocks and crossover keys are the backend's own and must not pose as
-    the default trajectory), or ``"compatible"`` (well-formed, same
+    merged into a cold baseline, nor vice versa), or ``"compatible"``
+    (well-formed, same
     configuration).  ``existing`` is the parsed document except for the
     first two kinds.
     """
@@ -108,8 +104,6 @@ def _classify_baseline(bench_out, scale, workers=1, adaptive=None,
         return "other-adaptive", existing
     if bool(existing.get("warm_store", False)) != bool(warm):
         return "other-warm", existing
-    if existing.get("backend") != backend:
-        return "other-backend", existing
     return "compatible", existing
 
 
@@ -156,7 +150,6 @@ def _merge_partial(bench_out, bench, all_figures):
         bench.get("workers", 1),
         bench.get("adaptive"),
         bench.get("warm_store", False),
-        bench.get("backend"),
     )
     if kind == "unusable":
         _refuse_overwrite(
@@ -190,14 +183,6 @@ def _merge_partial(bench_out, bench, all_figures):
         _refuse_overwrite(
             bench_out,
             _warm_mismatch_reason(existing, bench),
-        )
-        return None
-    if kind == "other-backend":
-        _refuse_overwrite(
-            bench_out,
-            f"existing baseline was measured on backend "
-            f"{existing.get('backend') or 'numpy'!r}, this run on "
-            f"{bench.get('backend') or 'numpy'!r}",
         )
         return None
     merged_figures = set(bench["figures"])
@@ -295,20 +280,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            "compute backend for the sampling/matching kernels (see "
-            "repro.core.backend; default: the always-on numpy "
-            "reference).  Deterministic counters are bitwise-identical "
-            "across backends by contract, so the smoke gate passes "
-            "unchanged; wall clocks and the crossover figure's "
-            "crossover keys are the backend's own, so the resulting "
-            "document is tagged and never merged into a default "
-            "baseline.  Unknown or unavailable names are refused."
-        ),
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help=(
@@ -324,18 +295,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.backend is not None:
-        # Installed process-wide before any figure builds a store, so
-        # every sweep (and every fork-pool shard worker, through the
-        # pool initializer) runs the selected kernels.  Refusal is loud:
-        # an unknown or unavailable name must never degrade silently.
-        from repro.core.backend import use_backend
-        from repro.errors import BackendError
-
-        try:
-            use_backend(args.backend)
-        except BackendError as error:
-            parser.error(str(error))
     adaptive = None
     if args.rtol is not None:
         from repro.core.adaptive import AdaptiveBudget
@@ -377,10 +336,6 @@ def main(argv=None):
         # candidates_tested / matches_found counters are deterministic and
         # regression-gated like any figure's.
         "match": lambda: run_match(args.scale),
-        # Reference-vs-backend kernel wall clock; gated on deterministic
-        # counters only (the crossover keys are wall-clock-derived and
-        # excluded, like seconds).
-        "crossover": lambda: run_crossover(args.scale),
     }
     all_figures = tuple(runners)
     #: Figures whose runner takes the stopping policy (and the warm-store
@@ -439,12 +394,6 @@ def main(argv=None):
         # into) a cold baseline; absent on cold runs so default documents
         # stay byte-identical to pre-warm-start ones.
         bench["warm_store"] = True
-    if args.backend is not None:
-        # Tagged so a backend run's wall clocks (and the crossover
-        # figure's crossover keys) never pose as the default numpy
-        # trajectory; absent on default runs so those documents stay
-        # byte-identical to pre-backend ones.
-        bench["backend"] = args.backend
     total_seconds = 0.0
     data_doc = {}
     for name, runner in runners.items():
@@ -492,7 +441,7 @@ def main(argv=None):
         # baseline.)
         kind, existing = _classify_baseline(
             args.bench_out, args.scale, args.workers, bench.get("adaptive"),
-            bench.get("warm_store", False), bench.get("backend"),
+            bench.get("warm_store", False),
         )
         if kind == "other-scale":
             _refuse_overwrite(
@@ -520,14 +469,6 @@ def main(argv=None):
         elif kind == "other-warm":
             _refuse_overwrite(
                 args.bench_out, _warm_mismatch_reason(existing, bench)
-            )
-            write_bench = False
-        elif kind == "other-backend":
-            _refuse_overwrite(
-                args.bench_out,
-                f"existing baseline was measured on backend "
-                f"{existing.get('backend') or 'numpy'!r}, this run on "
-                f"{bench.get('backend') or 'numpy'!r}",
             )
             write_bench = False
 

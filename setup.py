@@ -14,10 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    extras_require={
-        # Optional JIT compute backend (repro.core.backend); the library
-        # runs fully on numpy without it.
-        "accel": ["numba"],
-    },
     python_requires=">=3.9",
 )

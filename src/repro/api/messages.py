@@ -232,7 +232,6 @@ class StatsResponse:
 
     counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     bases: Dict[str, int] = field(default_factory=dict)
-    backend: Dict[str, str] = field(default_factory=dict)
     request_id: Optional[int] = None
 
     kind = "stats"
@@ -432,7 +431,6 @@ def encode_response(response) -> dict:
                 for name, counters in response.counters.items()
             },
             bases={name: int(v) for name, v in response.bases.items()},
-            backend={name: str(v) for name, v in response.backend.items()},
         )
     elif isinstance(response, EvictResponse):
         body.update(
@@ -501,10 +499,6 @@ def decode_response(body: dict):
                 },
                 bases={
                     name: int(v) for name, v in body.get("bases", {}).items()
-                },
-                backend={
-                    name: str(v)
-                    for name, v in body.get("backend", {}).items()
                 },
                 request_id=request_id,
             )

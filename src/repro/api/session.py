@@ -80,7 +80,6 @@ class Session:
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
         eviction: Optional[EvictionPolicy] = None,
-        backend=None,
     ):
         if stores is None:
             stores = BasisStore(estimator=estimator)
@@ -89,18 +88,6 @@ class Session:
         if not stores:
             raise ApiError("a session needs at least one store")
         self._stores: Dict[str, BasisStore] = dict(stores)
-        #: Compute backend shared by this session's stores.  ``None``
-        #: leaves each store's own (constructor-resolved) backend in
-        #: place; a name or instance is resolved once and installed on
-        #: every store, so the whole session shares one
-        #: verification/degrade scope and ``stats()`` reports it.
-        self.backend = None
-        if backend is not None:
-            from repro.core.backend import resolve_backend
-
-            self.backend = resolve_backend(backend)
-            for store in self._stores.values():
-                store.backend = self.backend
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator
         #: Standing eviction bound, re-applied to a store after every
@@ -119,7 +106,6 @@ class Session:
         index_strategy: str = "normalization",
         estimator: Optional[Estimator] = None,
         seed_bank: Optional[SeedBank] = None,
-        backend=None,
     ) -> "Session":
         """A fresh single-store session (cold start)."""
         store = BasisStore(
@@ -127,9 +113,7 @@ class Session:
             index_strategy=index_strategy,
             estimator=estimator,
         )
-        return cls(
-            store, seed_bank=seed_bank, estimator=estimator, backend=backend
-        )
+        return cls(store, seed_bank=seed_bank, estimator=estimator)
 
     @classmethod
     def open(
@@ -139,7 +123,6 @@ class Session:
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
         mmap: bool = True,
-        backend=None,
     ) -> "Session":
         """Open a snapshot as a warm session (zero-copy mmap by default).
 
@@ -163,9 +146,7 @@ class Session:
             estimator=estimator,
             mmap=mmap,
         )
-        return cls(
-            stores, seed_bank=bank, estimator=estimator, backend=backend
-        )
+        return cls(stores, seed_bank=bank, estimator=estimator)
 
     def save(self, path: str, metadata: Optional[dict] = None) -> None:
         """Atomically snapshot every store (see :mod:`repro.core.persist`)."""
@@ -308,10 +289,6 @@ class Session:
                 },
                 bases={
                     name: len(store)
-                    for name, store in sorted(self._stores.items())
-                },
-                backend={
-                    name: store.backend.describe()
                     for name, store in sorted(self._stores.items())
                 },
                 request_id=request.request_id,

@@ -924,193 +924,3 @@ def _strategy_label(strategy: str) -> str:
         "normalization": "Normalization",
         "sorted_sid": "Sorted SID",
     }[strategy]
-
-
-# ---------------------------------------------------------------------------
-# Crossover study: numpy reference vs the selected compute backend
-
-
-def _best_seconds(func, repeats: int) -> float:
-    """Minimum wall clock over ``repeats`` calls (noise-resistant)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = timing.perf_counter()
-        func()
-        best = min(best, timing.perf_counter() - start)
-    return best
-
-
-def run_crossover(scale: str = "quick", backend=None) -> FigureResult:
-    """CPU/accelerator crossover: reference vs backend kernel wall clock.
-
-    Times the always-on numpy reference against the selected compute
-    backend (:mod:`repro.core.backend`; default: the process-active one)
-    on the two kernel hot paths — the vectorized standard-draw fill
-    (``draw_block``) and the affine-fit validation (``affine_validate``)
-    — across problem sizes, and records where the backend's wall clock
-    crosses below the reference's.
-
-    Every *gated* counter is a pure function of the fixed seed
-    construction and — by the backend contract of bitwise-identical
-    answers — the same for every backend, so the smoke regression gate
-    passes unchanged whichever backend ran.  The wall-clock-derived
-    values (``draw_crossover_size``, ``validate_crossover_size``) ride
-    along as non-gated keys, like ``seconds``.  ``*_agreement`` counters
-    are the observed bitwise equality of backend and reference output
-    (1.0 on every honest backend): a backend that drifts fails the exact
-    gate here even if its self-verification window has been exhausted.
-    """
-    from repro.blackbox import fastrng
-    from repro.core.backend import NumpyBackend, resolve_backend
-
-    backend = resolve_backend(backend)
-    reference = NumpyBackend()
-    sizes = _pick(
-        scale,
-        (8, 32),
-        (16, 64, 256, 1024),
-        (16, 64, 256, 1024, 4096, 16384),
-    )
-    repeats = _pick(scale, 1, 3, 5)
-    kind_cycle = (
-        fastrng.KIND_NORMAL,
-        fastrng.KIND_UNIFORM,
-        fastrng.KIND_EXPONENTIAL,
-    )
-    kinds = tuple(
-        kind_cycle[i % len(kind_cycle)]
-        for i in range(PAPER_FINGERPRINT_SIZE)
-    )
-    result = FigureResult(
-        figure="Crossover",
-        caption=(
-            f"numpy reference vs {backend.name!r} backend, "
-            f"sampling and matching kernels"
-        ),
-        x_label="problem size (rows)",
-        y_label="time (us/row)",
-    )
-    series = {
-        "draw_ref": Series("Reference draws"),
-        "draw_backend": Series(f"{backend.name} draws"),
-        "validate_ref": Series("Reference validate"),
-        "validate_backend": Series(f"{backend.name} validate"),
-    }
-    rng = np.random.default_rng(20110617)  # deterministic, backend-blind
-    counters = result.counters
-    counters["sizes_swept"] = float(len(sizes))
-    crossover = {"draw": -1.0, "validate": -1.0}
-    agreement = {"draw": 1.0, "validate": 1.0}
-    # Warm both kernels outside the timed region: the first VERIFY_CALLS
-    # backend calls pay the self-verification cross-check, and a JIT
-    # backend pays compilation once — neither belongs in the comparison.
-    warm_seeds = np.arange(8, dtype=np.uint64)
-    warm_sources = rng.standard_normal((4, PAPER_FINGERPRINT_SIZE))
-    warm_affine = np.ones(4)
-    for _ in range(5):
-        backend.draw_block(warm_seeds, kinds)
-        reference.draw_block(warm_seeds, kinds)
-        backend.affine_validate(
-            warm_sources, warm_affine, warm_affine, warm_sources[0], 1e-8
-        )
-        reference.affine_validate(
-            warm_sources, warm_affine, warm_affine, warm_sources[0], 1e-8
-        )
-    for size in sizes:
-        seeds = rng.integers(0, 2**63, size=size, dtype=np.uint64)
-        ref_draws = reference.draw_block(seeds, kinds)
-        backend_draws = backend.draw_block(seeds, kinds)
-        if not (
-            np.array_equal(ref_draws[0], backend_draws[0])
-            and np.array_equal(ref_draws[1], backend_draws[1])
-        ):
-            agreement["draw"] = 0.0
-        draw_ref = _best_seconds(
-            lambda: reference.draw_block(seeds, kinds), repeats
-        )
-        draw_backend = _best_seconds(
-            lambda: backend.draw_block(seeds, kinds), repeats
-        )
-
-        sources = rng.standard_normal((size, PAPER_FINGERPRINT_SIZE))
-        alpha = 1.0 + 0.25 * (np.arange(size, dtype=np.float64) % 7)
-        beta = np.arange(size, dtype=np.float64) % 5 - 2.0
-        target = alpha[0] * sources[0] + beta[0]
-        ref_mask = reference.affine_validate(
-            sources, alpha, beta, target, 1e-8
-        )
-        backend_mask = backend.affine_validate(
-            sources, alpha, beta, target, 1e-8
-        )
-        if not np.array_equal(ref_mask, backend_mask):
-            agreement["validate"] = 0.0
-        validate_ref = _best_seconds(
-            lambda: reference.affine_validate(
-                sources, alpha, beta, target, 1e-8
-            ),
-            repeats,
-        )
-        validate_backend = _best_seconds(
-            lambda: backend.affine_validate(
-                sources, alpha, beta, target, 1e-8
-            ),
-            repeats,
-        )
-
-        series["draw_ref"].add(float(size), 1.0e6 * draw_ref / size)
-        series["draw_backend"].add(float(size), 1.0e6 * draw_backend / size)
-        series["validate_ref"].add(float(size), 1.0e6 * validate_ref / size)
-        series["validate_backend"].add(
-            float(size), 1.0e6 * validate_backend / size
-        )
-        if not backend.is_reference:
-            if crossover["draw"] < 0 and draw_backend < draw_ref:
-                crossover["draw"] = float(size)
-            if crossover["validate"] < 0 and validate_backend < validate_ref:
-                crossover["validate"] = float(size)
-        counters["draws_total"] = counters.get("draws_total", 0.0) + float(
-            size * len(kinds)
-        )
-        counters["rows_validated"] = counters.get(
-            "rows_validated", 0.0
-        ) + float(size)
-        counters["valid_rows"] = counters.get("valid_rows", 0.0) + float(
-            int(ref_mask.sum())
-        )
-        result.data[f"size={size}"] = {
-            "draws": float(size * len(kinds)),
-            "valid_rows": float(int(ref_mask.sum())),
-            "rejection_patched_lanes": float(
-                int(np.count_nonzero(~ref_draws[1]))
-            ),
-        }
-    counters["draw_agreement"] = agreement["draw"]
-    counters["validate_agreement"] = agreement["validate"]
-    # Wall-clock-derived, hence excluded from the exact gate (like
-    # ``seconds``); -1 means "never crossed" — always so for the
-    # reference backend measured against itself.
-    counters["draw_crossover_size"] = crossover["draw"]
-    counters["validate_crossover_size"] = crossover["validate"]
-    result.notes.append(f"backend under test: {backend.describe()}")
-    if backend.is_reference:
-        result.notes.append(
-            "backend is the numpy reference: timings compare the same "
-            "implementation against itself (crossover not applicable)"
-        )
-    else:
-        for kernel in ("draw", "validate"):
-            at = crossover[kernel]
-            result.notes.append(
-                f"{kernel} kernel crossover: "
-                + (
-                    f"backend faster from size {at:g}"
-                    if at >= 0
-                    else "reference faster at every measured size"
-                )
-            )
-    result.series = [
-        series[key]
-        for key in ("draw_ref", "draw_backend", "validate_ref",
-                    "validate_backend")
-    ]
-    return result

@@ -27,19 +27,12 @@ _CacheKey = Tuple[bytes, Tuple[str, ...]]
 
 
 class StandardDrawCache:
-    """Memoized standard-draw matrices keyed by (seed bank slice, kinds).
+    """Memoized standard-draw matrices keyed by (seed bank slice, kinds)."""
 
-    ``backend`` pins the compute backend used for cache fills (default:
-    the process-active one, resolved per fill).  The cache key is
-    backend-independent on purpose: every backend returns the same bits
-    or degrades trying, so entries are interchangeable across backends.
-    """
-
-    def __init__(self, max_floats: int = 16_000_000, backend=None):
+    def __init__(self, max_floats: int = 16_000_000):
         if max_floats < 0:
             raise ValueError("max_floats must be non-negative")
         self.max_floats = max_floats
-        self.backend = backend
         self._matrices: "OrderedDict[_CacheKey, np.ndarray]" = OrderedDict()
         self._floats_cached = 0
         self._hits = 0
@@ -63,7 +56,7 @@ class StandardDrawCache:
             self._matrices.move_to_end(key)
             return cached
         self._misses += 1
-        matrix = fastrng.draw_matrix(seeds, kinds, backend=self.backend)
+        matrix = fastrng.draw_matrix(seeds, kinds)
         matrix.setflags(write=False)
         self._store(key, matrix)
         return matrix
@@ -134,9 +127,7 @@ bank shareable across parameter points.
 """
 
 
-def initialize_worker(
-    max_floats: Optional[int] = None, backend=None
-) -> None:
+def initialize_worker(max_floats: Optional[int] = None) -> None:
     """Reset the process-wide draw caches inside a freshly forked worker.
 
     Fork-based sweep workers inherit the parent's populated caches as
@@ -145,19 +136,10 @@ def initialize_worker(
     ``workers x parent cache`` and (b) makes worker cache stats describe
     worker work.  Semantically a no-op: every entry is a pure function of
     its key and is recomputed bit-identically on demand.
-
-    ``backend`` (a registered name) re-selects the parent's compute
-    backend explicitly with fresh per-worker verification state — the
-    fork would inherit the parent's instance anyway, but a worker should
-    self-test on its own host image rather than trust inherited flags.
     """
     if max_floats is not None:
         if max_floats < 0:
             raise ValueError("max_floats must be non-negative")
         DEFAULT_DRAW_CACHE.max_floats = max_floats
-    if backend is not None:
-        from repro.core.backend import use_backend
-
-        use_backend(backend)
     DEFAULT_DRAW_CACHE.clear()
     _DERIVED_SEED_CACHE.clear()

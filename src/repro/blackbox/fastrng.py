@@ -18,26 +18,22 @@ is seeded and drawn in a handful of numpy operations:
 
 Bit-exactness contract: every value produced here is verified to equal the
 scalar :class:`repro.blackbox.rng.DeterministicRng` output.  A self-test
-(:func:`fast_path_available`) runs once per *backend instance* — the block
-fill itself routes through the pluggable compute seam
-(:mod:`repro.core.backend`), and the self-test outcome lives on the
-backend instance rather than a module global, so one surprising host (or
-one lying accelerated kernel) degrades that instance to the per-seed
-``Generator`` path — with a ``RuntimeWarning``, exactly once — without
-leaking the degrade across unrelated stores, tests, or backends.
-:func:`fast_path_status` exposes the state; :func:`reset_fast_path`
-re-arms it (test-only).
+(:func:`fast_path_available`) runs once per process; on a surprising host
+it degrades the process to the per-seed ``Generator`` path with one
+``RuntimeWarning``.  :func:`fast_path_status` exposes the state;
+:func:`reset_fast_path` re-arms it (test-only).  The block fill itself is
+the ``draw_block`` kernel in :mod:`repro.core.backend`.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blackbox import ziggurat_tables as _zt
-from repro.core.backend import BackendArg, resolve_backend
+from repro.core import backend
 from repro.core.seeds import derive_seed_array
 
 # Standard-draw kind names used throughout the batch sampling paths.
@@ -64,6 +60,10 @@ _PCG_MULT_HI = _U64(2549297995355413924)
 _PCG_MULT_LO = _U64(4865540595714422341)
 
 _INV_2_53 = 1.0 / 9007199254740992.0
+
+# Stream self-test outcome (None = not yet run) and its warn-once latch.
+_FAST_PATH_OK: Optional[bool] = None
+_FAST_PATH_WARNED = False
 
 
 def _hashmix(value: np.ndarray, hash_const: int) -> Tuple[np.ndarray, int]:
@@ -286,20 +286,18 @@ def _draw_matrix_scalar(seeds: np.ndarray, kinds: Tuple[str, ...]) -> np.ndarray
     ).reshape(len(seeds), len(kinds))
 
 
-def fast_path_available(backend: BackendArg = None) -> bool:
+def fast_path_available() -> bool:
     """Self-test the vectorized stream against the host numpy, once per
-    backend instance.
+    process.
 
-    Compares :func:`draw_matrix`'s vector path — routed through the given
-    (default: process-active) compute backend — to per-seed ``Generator``
+    Compares :func:`draw_matrix`'s vector path to per-seed ``Generator``
     output over a spread of seeds (including ziggurat-rejection lanes).
-    On any mismatch *that backend instance* permanently falls back to the
-    scalar path with one ``RuntimeWarning``, so batch sampling can never
-    silently diverge from the scalar contract; other instances (other
-    stores, other tests) are untouched.
+    On any mismatch the process permanently falls back to the scalar
+    path with one ``RuntimeWarning``, so batch sampling can never
+    silently diverge from the scalar contract.
     """
-    backend = resolve_backend(backend)
-    if backend._fast_path_ok is None:
+    global _FAST_PATH_OK, _FAST_PATH_WARNED
+    if _FAST_PATH_OK is None:
         probe = np.array(
             [0, 1, 7, 12345, 2**31, 2**52 + 3, 2**63 + 11, 2**64 - 1]
             + list(range(100, 164)),
@@ -307,7 +305,7 @@ def fast_path_available(backend: BackendArg = None) -> bool:
         )
         kinds = (KIND_NORMAL, KIND_EXPONENTIAL, KIND_UNIFORM, KIND_NORMAL)
         try:
-            fast = _draw_matrix_vector(probe, kinds, backend)
+            fast = _draw_matrix_vector(probe, kinds)
             reference = _draw_matrix_scalar(probe, kinds)
             ok = bool(
                 fast.shape == reference.shape
@@ -315,105 +313,58 @@ def fast_path_available(backend: BackendArg = None) -> bool:
             )
         except Exception:
             ok = False
-        backend._fast_path_ok = ok
-        if not ok and not backend._fast_path_warned:
-            backend._fast_path_warned = True
+        _FAST_PATH_OK = ok
+        if not ok and not _FAST_PATH_WARNED:
+            _FAST_PATH_WARNED = True
             warnings.warn(
-                f"vectorized standard-draw stream disagreed with the "
-                f"per-seed Generator reference on backend "
-                f"{backend.name!r}; falling back to the scalar draw path "
-                f"for this backend instance",
+                "vectorized standard-draw stream disagreed with the "
+                "per-seed Generator reference; falling back to the scalar "
+                "draw path for this process",
                 RuntimeWarning,
             )
-    return backend._fast_path_ok
+    return _FAST_PATH_OK
 
 
-def fast_path_status(backend: BackendArg = None) -> Dict[str, object]:
-    """Introspect one backend instance's draw fast-path state.
+def fast_path_status() -> str:
+    """The draw fast path's state: ``"ok"``, ``"degraded"`` or
+    ``"untested"`` (the self-test has not run yet)."""
+    if _FAST_PATH_OK is None:
+        return "untested"
+    return "ok" if _FAST_PATH_OK else "degraded"
 
-    Returns ``{"backend": <describe()>, "fast_path": "ok" | "degraded" |
-    "untested", "degraded_kernels": (...)}`` — the hook the old module
-    global never offered, so tests and ``repro store info`` can tell a
-    healthy accelerated run from a silently-degraded one.
+
+def reset_fast_path() -> None:
+    """Re-arm the self-test and its warn-once latch.
+
+    Test-only: production code never un-degrades the fast path.  The
+    next :func:`draw_matrix` call re-runs the self-test from scratch,
+    and a repeated failure warns again.
     """
-    backend = resolve_backend(backend)
-    if backend._fast_path_ok is None:
-        state = "untested"
-    elif backend._fast_path_ok:
-        state = "ok"
-    else:
-        state = "degraded"
-    return {
-        "backend": backend.describe(),
-        "fast_path": state,
-        "degraded_kernels": backend.degraded_kernels(),
-    }
+    global _FAST_PATH_OK, _FAST_PATH_WARNED
+    _FAST_PATH_OK = None
+    _FAST_PATH_WARNED = False
 
 
-def reset_fast_path(backend: BackendArg = None) -> None:
-    """Re-arm one backend instance's self-test and kernel verification.
-
-    Test-only: production code never un-degrades an instance.  The next
-    :func:`draw_matrix` call re-runs the self-test (and the backend
-    layer's first-N kernel cross-checks) from scratch, and a repeated
-    failure warns again — the warn-once latch resets with the state.
-    """
-    resolve_backend(backend).reset_verification()
-
-
-def _vector_draw_block(
-    seeds: np.ndarray, kinds: Tuple[str, ...]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Numpy reference block fill: accept-chain ziggurat over lockstep
-    stream positions.
-
-    Returns ``(out, ok)`` — ``ok[i]`` is False where some draw consumed
-    more than one raw output (a ziggurat rejection), meaning row ``i``
-    must be replayed through a real per-seed ``Generator``.  This is the
-    ``draw_block`` kernel every compute backend must reproduce bitwise.
-    """
-    raw = raw_block(seeds, len(kinds))
-    n = seeds.shape[0]
-    out = np.empty((n, len(kinds)), dtype=np.float64)
-    ok = np.ones(n, dtype=bool)
-    for j, kind in enumerate(kinds):
-        values, accepted = _KIND_RAW[kind](raw[j])
-        out[:, j] = values
-        if accepted is not None:
-            ok &= accepted
-    return out, ok
-
-
-def _draw_matrix_vector(
-    seeds: np.ndarray,
-    kinds: Tuple[str, ...],
-    backend: BackendArg = None,
-) -> np.ndarray:
-    """Vector path: backend block fill plus scalar rejection patch-up.
+def _draw_matrix_vector(seeds: np.ndarray, kinds: Tuple[str, ...]) -> np.ndarray:
+    """Vector path: ``draw_block`` kernel plus scalar rejection patch-up.
 
     A lane stays on the vector path while every draw so far consumed exactly
     one raw output (always true for uniforms, ~98.5% per normal/exponential
     draw); the rest replay through a real per-seed ``Generator``.
     """
-    out, ok = resolve_backend(backend).draw_block(seeds, kinds)
+    out, ok = backend.draw_block(seeds, kinds)
     for i in np.nonzero(~ok)[0]:
         out[i] = scalar_draw_row(int(seeds[i]), kinds)
     return out
 
 
-def draw_matrix(
-    rng_seeds: np.ndarray,
-    kinds: Sequence[str],
-    backend: BackendArg = None,
-) -> np.ndarray:
+def draw_matrix(rng_seeds: np.ndarray, kinds: Sequence[str]) -> np.ndarray:
     """Standard draws ``(len(rng_seeds), len(kinds))`` of every seed's stream.
 
     Entry ``[i, j]`` equals the j-th standard draw a fresh
     ``DeterministicRng(rng_seeds[i])`` would produce when asked for the kind
     sequence ``kinds`` — the shared standard draws every location-scale
-    variate in the system is an affine function of.  ``backend`` selects
-    the compute backend for the block fill (default: the process-active
-    one); every backend returns the same bits or degrades trying.
+    variate in the system is an affine function of.
     """
     seeds = np.atleast_1d(np.asarray(rng_seeds, dtype=np.uint64))
     kinds = tuple(kinds)
@@ -422,9 +373,8 @@ def draw_matrix(
             raise ValueError(f"unknown standard draw kind {kind!r}")
     if not kinds:
         return np.empty((seeds.shape[0], 0), dtype=np.float64)
-    backend = resolve_backend(backend)
-    if fast_path_available(backend):
-        return _draw_matrix_vector(seeds, kinds, backend)
+    if fast_path_available():
+        return _draw_matrix_vector(seeds, kinds)
     return _draw_matrix_scalar(seeds, kinds)
 
 

@@ -1,431 +1,91 @@
-"""Pluggable compute backends for the sampling and matching kernels.
+"""The four dense numpy kernels under sampling and matching.
 
-The reproduction has exactly two dense hot paths — the standard-draw
-matrices behind batch sampling (:mod:`repro.blackbox.fastrng`) and the
-per-size fingerprint matrices behind columnar FindMatch
-(:mod:`repro.core.mapping` / :mod:`repro.core.fingerprint`) — and both
-are the shapes JIT/GPU accelerators want.  This module is the seam that
-lets an accelerated implementation slide under them without ever
-touching the bitwise contract every CI gate pins:
+The reproduction has two dense hot paths — the standard-draw matrices
+behind batch sampling (:mod:`repro.blackbox.fastrng`) and the per-size
+fingerprint matrices behind columnar FindMatch
+(:mod:`repro.core.mapping` / :mod:`repro.core.fingerprint`).  Their
+array work is four kernels: ``draw_block``, ``affine_validate``,
+``sid_orders`` and ``normal_forms``.
 
-* :class:`ComputeBackend` names the four kernels (``draw_block``,
-  ``affine_validate``, ``sid_orders``, ``normal_forms``) and wraps every
-  non-reference implementation in first-N self-verification against the
-  numpy reference — the same cross-check/degrade discipline as
-  ``VERIFY_LOOKUPS`` in :mod:`repro.core.basis` and the fastrng
-  stream-replay self-test, but *instance-scoped*: one lying backend
-  degrades itself (with a ``RuntimeWarning``, exactly once per kernel),
-  never the process, and ``describe()`` makes the degrade visible.
-* A tiny registry maps names to factories.  ``numpy`` is always
-  registered and always available; ``numba`` is registered but only
-  available when the optional dependency imports
-  (:mod:`repro.core._backend_numba`).  A ``cupy`` device backend would
-  register the same way — the kernel signatures are plain arrays in,
-  plain arrays out, so a device implementation only has to move data.
-* Selection is explicit and typed: :func:`create_backend` refuses
-  unknown or unavailable names with :class:`~repro.errors.BackendError`
-  instead of silently running numpy.
-
-Degrade semantics: a degraded kernel answers through the numpy
-reference from the first detected disagreement onward, so callers
-always get reference bits — an accelerator pays with speed, never with
-changed answers.
+Callers reach every kernel through this module at call time
+(``backend.affine_validate(...)``), never through an imported name, so
+one object — :func:`active_backend` — holds all four and a tracer can
+wrap them in place.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+import sys
+from typing import Tuple
 
 import numpy as np
 
-from repro.errors import BackendError
 
-#: Calls per (instance, kernel) cross-checked against the numpy
-#: reference before an accelerated implementation is trusted outright.
-#: Mirrors ``repro.core.basis.VERIFY_LOOKUPS``.
-VERIFY_CALLS = 4
-
-KERNELS = ("draw_block", "affine_validate", "sid_orders", "normal_forms")
-
-
-# ---------------------------------------------------------------------------
-# Numpy reference kernels.  These are the semantics every backend must
-# reproduce bitwise; accelerated implementations are verified against
-# them and degraded to them on any disagreement.
-
-
-def _reference_draw_block(
+def draw_block(
     seeds: np.ndarray, kinds: Tuple[str, ...]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Accept-path standard draws; see ``fastrng._vector_draw_block``."""
-    from repro.blackbox import fastrng
+    """Accept-chain ziggurat draws ``(out, ok)`` over lockstep stream
+    positions.
 
-    return fastrng._vector_draw_block(seeds, kinds)
+    ``out`` is the ``(len(seeds), len(kinds))`` draw matrix under the
+    single-raw-output-per-draw assumption; ``ok[i]`` is False where some
+    draw consumed more than one raw output (a ziggurat rejection),
+    meaning row ``i`` must be replayed through a real per-seed
+    ``Generator``.
+    """
+    from repro.blackbox.fastrng import _KIND_RAW, raw_block
+
+    raw = raw_block(seeds, len(kinds))
+    n = seeds.shape[0]
+    out = np.empty((n, len(kinds)), dtype=np.float64)
+    ok = np.ones(n, dtype=bool)
+    for j, kind in enumerate(kinds):
+        values, accepted = _KIND_RAW[kind](raw[j])
+        out[:, j] = values
+        if accepted is not None:
+            ok &= accepted
+    return out, ok
 
 
-def _reference_affine_validate(
+def affine_validate(
     sources: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
     target: np.ndarray,
     tol: float,
 ) -> np.ndarray:
-    """Row-wise affine validation; see ``mapping._rows_affine_valid``."""
+    """Row-wise ``|alpha*source + beta - target| <= tol`` accept mask."""
     deviation = np.abs(alpha[:, None] * sources + beta[:, None] - target)
     return (deviation <= tol).all(axis=1)
 
 
-def _reference_sid_orders(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise stable argsort (the SID-order key kernel)."""
+def sid_orders(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise stable argsort (ascending SID-order keys)."""
     return np.argsort(matrix, axis=1, kind="stable")
 
 
-def _reference_normal_forms(matrix: np.ndarray, rel_tol: float):
-    """Normal-form key components; see ``fingerprint._normal_forms_matrix``."""
-    from repro.core.fingerprint import _normal_forms_matrix
-
-    return _normal_forms_matrix(matrix, rel_tol)
-
-
-_REFERENCE = {
-    "draw_block": _reference_draw_block,
-    "affine_validate": _reference_affine_validate,
-    "sid_orders": _reference_sid_orders,
-    "normal_forms": _reference_normal_forms,
-}
-
-
-def _results_equal(left, right) -> bool:
-    """Bitwise equality over arrays and (nested) tuples of arrays."""
-    if isinstance(left, tuple) or isinstance(right, tuple):
-        if not (isinstance(left, tuple) and isinstance(right, tuple)):
-            return False
-        if len(left) != len(right):
-            return False
-        return all(_results_equal(a, b) for a, b in zip(left, right))
-    left = np.asarray(left)
-    right = np.asarray(right)
-    return left.shape == right.shape and bool(np.array_equal(left, right))
-
-
-class ComputeBackend:
-    """Base class: kernel hooks plus instance-scoped self-verification.
-
-    Subclasses override the ``_<kernel>`` hooks they accelerate and
-    inherit the numpy reference for the rest.  Overridden kernels are
-    cross-checked against the reference for their first
-    :data:`VERIFY_CALLS` calls on *this instance*; a disagreement emits
-    one ``RuntimeWarning`` and permanently degrades that kernel (on
-    this instance only) to the reference implementation.
-
-    The instance also carries the fastrng fast-path self-test state
-    (``_fast_path_ok`` / ``_fast_path_warned``) that used to live in a
-    module global — see :func:`repro.blackbox.fastrng.fast_path_status`.
-    """
-
-    name = "abstract"
-    #: The reference backend never verifies against itself; its
-    #: correctness story is the existing scalar cross-checks.
-    is_reference = False
-
-    def __init__(self) -> None:
-        self._degraded: Dict[str, bool] = {}
-        self._verify_remaining: Dict[str, int] = {}
-        for kernel in KERNELS:
-            overridden = getattr(type(self), "_" + kernel) is not getattr(
-                ComputeBackend, "_" + kernel
-            )
-            self._verify_remaining[kernel] = (
-                VERIFY_CALLS if overridden and not self.is_reference else 0
-            )
-        #: fastrng stream-replay self-test outcome for this instance:
-        #: None = not yet run, True/False afterwards.
-        self._fast_path_ok: Optional[bool] = None
-        self._fast_path_warned = False
-
-    # -- kernel hooks (override these) --------------------------------------
-
-    def _draw_block(self, seeds, kinds):
-        return _reference_draw_block(seeds, kinds)
-
-    def _affine_validate(self, sources, alpha, beta, target, tol):
-        return _reference_affine_validate(sources, alpha, beta, target, tol)
-
-    def _sid_orders(self, matrix):
-        return _reference_sid_orders(matrix)
-
-    def _normal_forms(self, matrix, rel_tol):
-        return _reference_normal_forms(matrix, rel_tol)
-
-    # -- verified public kernels --------------------------------------------
-
-    def draw_block(
-        self, seeds: np.ndarray, kinds: Tuple[str, ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Accept-path standard draws ``(out, ok)`` for a seed block.
-
-        ``out`` is the ``(len(seeds), len(kinds))`` draw matrix under the
-        single-raw-output-per-draw assumption; ``ok`` flags the lanes for
-        which that assumption held (the caller patches the rest through
-        the scalar generator).
-        """
-        return self._checked("draw_block", (seeds, kinds))
-
-    def affine_validate(
-        self,
-        sources: np.ndarray,
-        alpha: np.ndarray,
-        beta: np.ndarray,
-        target: np.ndarray,
-        tol: float,
-    ) -> np.ndarray:
-        """Row-wise ``|alpha*source + beta - target| <= tol`` accept mask."""
-        return self._checked(
-            "affine_validate", (sources, alpha, beta, target, tol)
-        )
-
-    def sid_orders(self, matrix: np.ndarray) -> np.ndarray:
-        """Row-wise stable argsort (ascending SID-order keys)."""
-        return self._checked("sid_orders", (matrix,))
-
-    def normal_forms(self, matrix: np.ndarray, rel_tol: float):
-        """Normal-form components ``(has_pair, position, forward,
-        reflected)`` for a stack of same-size fingerprints."""
-        return self._checked("normal_forms", (matrix, rel_tol))
-
-    # -- verification machinery ---------------------------------------------
-
-    def _checked(self, kernel: str, args: tuple):
-        if self._degraded.get(kernel):
-            return _REFERENCE[kernel](*args)
-        result = getattr(self, "_" + kernel)(*args)
-        remaining = self._verify_remaining[kernel]
-        if remaining > 0:
-            self._verify_remaining[kernel] = remaining - 1
-            expected = _REFERENCE[kernel](*args)
-            if not _results_equal(result, expected):
-                self._degrade(kernel)
-                return expected
-        return result
-
-    def _degrade(self, kernel: str) -> None:
-        """Permanently route one kernel through the reference (warn once)."""
-        if not self._degraded.get(kernel):
-            self._degraded[kernel] = True
-            warnings.warn(
-                f"compute backend {self.name!r} kernel {kernel!r} disagreed "
-                f"with the numpy reference; degrading this backend instance "
-                f"to the reference implementation for {kernel!r}",
-                RuntimeWarning,
-            )
-
-    def degraded_kernels(self) -> Tuple[str, ...]:
-        """Kernels this instance has degraded to the reference, sorted."""
-        return tuple(sorted(self._degraded))
-
-    def reset_verification(self) -> None:
-        """Re-arm self-verification and the fast-path self-test.
-
-        Test-only: production code never un-degrades a backend.
-        """
-        self._degraded.clear()
-        for kernel in KERNELS:
-            overridden = getattr(type(self), "_" + kernel) is not getattr(
-                ComputeBackend, "_" + kernel
-            )
-            self._verify_remaining[kernel] = (
-                VERIFY_CALLS if overridden and not self.is_reference else 0
-            )
-        self._fast_path_ok = None
-        self._fast_path_warned = False
-
-    def describe(self) -> str:
-        """Human/store-info descriptor, e.g. ``numba[degraded:draw_block]``.
-
-        A clean backend is just its name; degraded kernels and a failed
-        fastrng fast-path self-test are appended so a silently-degraded
-        run is visible in ``repro store info`` and ``StatsResponse``.
-        """
-        tags = []
-        if self._degraded:
-            tags.append("degraded:" + ",".join(sorted(self._degraded)))
-        if self._fast_path_ok is False:
-            tags.append("scalar-draws")
-        if tags:
-            return f"{self.name}[{';'.join(tags)}]"
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.describe()}>"
-
-
-class NumpyBackend(ComputeBackend):
-    """The always-on default: the existing vectorized numpy kernels."""
-
-    name = "numpy"
-    is_reference = True
-
-
-class NumbaBackend(ComputeBackend):
-    """Optional JIT path over the integer/float kernels numba compiles
-    bitwise-faithfully (no fastmath, so no FMA contraction; uint64
-    arithmetic wraps exactly as numpy's).
-
-    Only ``draw_block`` and ``affine_validate`` are overridden: the
-    PCG64 stream replay and the dense affine validation are pure
-    integer/multiply-add loops, while stable argsort and decimal
-    rounding (the key kernels) have numpy-internal semantics a JIT
-    cannot be trusted to reproduce bit-for-bit — those inherit the
-    reference.  Self-verification covers the overrides regardless.
-    """
-
-    name = "numba"
-
-    def _draw_block(self, seeds, kinds):
-        from repro.core import _backend_numba
-
-        return _backend_numba.draw_block(seeds, kinds)
-
-    def _affine_validate(self, sources, alpha, beta, target, tol):
-        from repro.core import _backend_numba
-
-        return _backend_numba.affine_validate(
-            sources, alpha, beta, target, tol
-        )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-class _BackendSpec(NamedTuple):
-    factory: Callable[[], ComputeBackend]
-    available: Callable[[], bool]
-    requires: str
-
-
-_REGISTRY: Dict[str, _BackendSpec] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], ComputeBackend],
-    available: Optional[Callable[[], bool]] = None,
-    requires: str = "",
-) -> None:
-    """Register a backend factory under a selection name.
-
-    ``available`` is probed at selection time (so registration itself
-    never imports an optional dependency); ``requires`` names the
-    missing package for the :class:`BackendError` message.
-    """
-    _REGISTRY[name] = _BackendSpec(
-        factory=factory,
-        available=available or (lambda: True),
-        requires=requires,
-    )
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Every registered backend name, registration order."""
-    return tuple(_REGISTRY)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its dependencies import."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        return False
-    try:
-        return bool(spec.available())
-    except Exception:
-        return False
-
-
-def create_backend(name: str) -> ComputeBackend:
-    """Build a fresh backend instance by name (typed refusal, never a
-    silent numpy fallback)."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise BackendError(
-            f"unknown compute backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}"
-        )
-    if not backend_available(name):
-        suffix = (
-            f" (requires {spec.requires!r}, which is not importable)"
-            if spec.requires
-            else ""
-        )
-        raise BackendError(
-            f"compute backend {name!r} is not available on this host{suffix}"
-        )
-    return spec.factory()
-
-
-def _numba_available() -> bool:
-    from repro.core import _backend_numba
-
-    return _backend_numba.available()
-
-
-register_backend("numpy", NumpyBackend)
-register_backend(
-    "numba", NumbaBackend, available=_numba_available, requires="numba"
-)
-
-
-# ---------------------------------------------------------------------------
-# Process-active backend
-
-_ACTIVE: Optional[ComputeBackend] = None
-
-BackendArg = Union[None, str, ComputeBackend]
-
-
-def active_backend() -> ComputeBackend:
-    """The process-wide default backend (numpy until selected otherwise)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = NumpyBackend()
-    return _ACTIVE
-
-
-def use_backend(backend: Union[str, ComputeBackend]) -> ComputeBackend:
-    """Select the process-wide default backend; returns the instance.
-
-    Forked sweep workers inherit the selection (module state survives
-    fork) and :func:`repro.blackbox.draws.initialize_worker` re-selects
-    it explicitly, so shards run the same backend as their parent.
-    """
-    global _ACTIVE
-    if isinstance(backend, str):
-        backend = create_backend(backend)
-    elif not isinstance(backend, ComputeBackend):
-        raise BackendError(
-            f"expected a backend name or ComputeBackend instance, got "
-            f"{type(backend).__name__}"
-        )
-    _ACTIVE = backend
-    return backend
-
-
-def resolve_backend(backend: BackendArg = None) -> ComputeBackend:
-    """Coerce a backend argument to an instance.
-
-    ``None`` resolves to the process-active backend; a name builds a
-    *fresh* instance (so a store constructed with ``backend="numba"``
-    gets store-scoped verification/degrade state); an instance passes
-    through.
-    """
-    if backend is None:
-        return active_backend()
-    if isinstance(backend, ComputeBackend):
-        return backend
-    if isinstance(backend, str):
-        return create_backend(backend)
-    raise BackendError(
-        f"expected a backend name or ComputeBackend instance, got "
-        f"{type(backend).__name__}"
-    )
+def normal_forms(
+    matrix: np.ndarray, rel_tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Normal-form components ``(has_pair, position, forward, reflected)``
+    for a stack of same-size fingerprints, with matrix arithmetic
+    elementwise identical to :meth:`Fingerprint.normal_form`."""
+    from repro.core.fingerprint import NORMAL_FORM_DECIMALS, rows_first_distinct
+
+    has_pair, position = rows_first_distinct(matrix, rel_tol)
+    lows = matrix.min(axis=1)
+    spans = matrix.max(axis=1) - lows
+    # Constant rows never read their (possibly zero) span.
+    safe_spans = np.where(has_pair, spans, 1.0)
+    normalized = (matrix - lows[:, None]) / safe_spans[:, None]
+    forward = np.round(normalized, NORMAL_FORM_DECIMALS)
+    forward[forward == 0] = 0.0  # collapse -0.0 and 0.0 keys
+    reflected = np.round(1.0 - forward, NORMAL_FORM_DECIMALS)
+    reflected[reflected == 0] = 0.0
+    return has_pair, position, forward, reflected
+
+
+def active_backend():
+    """The object whose kernel attributes every caller looks up: this
+    module."""
+    return sys.modules[__name__]

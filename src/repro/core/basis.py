@@ -9,7 +9,6 @@ skipped and the basis's metrics are remapped instead.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import (
@@ -25,9 +24,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.backend import BackendArg, resolve_backend
 from repro.core.columnar import CandidateKeys, ColumnarStore
 from repro.errors import LifecycleError
+from repro.util import timing
 from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import (
     DEFAULT_ABS_TOL,
@@ -78,11 +77,10 @@ class StoreStats:
     candidates_tested: int = 0
     matches: int = 0
     bases_created: int = 0
-    #: Wall-clock seconds spent inside match()/match_batch().  Measured with
-    #: the raw OS clock, not the injectable bench clock (a per-probe tick
-    #: would distort the fake-clock figure tests), excluded from equality
-    #: and from :meth:`as_dict` — parity suites compare only the
-    #: deterministic counters above.
+    #: Seconds spent inside match()/match_batch(), read through the
+    #: injectable clock (:func:`repro.util.timing.perf_counter`).  Excluded
+    #: from equality and from :meth:`as_dict` — parity suites compare only
+    #: the deterministic counters above.
     match_seconds: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> Dict[str, int]:
@@ -206,15 +204,8 @@ class BasisStore:
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         columnar: bool = True,
-        backend: BackendArg = None,
     ):
         self.mapping_family = mapping_family or LinearMappingFamily()
-        #: The store's compute backend.  ``None`` resolves to the
-        #: process-active instance (shared: its one self-test serves every
-        #: default store); a *name* builds a fresh instance, giving this
-        #: store its own verification/degrade state — the store-scoped
-        #: analogue of the columnar ``VERIFY_LOOKUPS`` fallback below.
-        self.backend = resolve_backend(backend)
         if index is None:
             if (
                 index_strategy == "normalization"
@@ -259,7 +250,7 @@ class BasisStore:
         of :meth:`match_batch` — same columnar candidate validation, same
         counters.
         """
-        started = time.perf_counter()
+        started = timing.perf_counter()
         self.stats.lookups += 1
         result, tested = self._match_candidates(
             fingerprint, self.index.candidates(fingerprint)
@@ -267,7 +258,7 @@ class BasisStore:
         self.stats.candidates_tested += tested
         if result is not None:
             self.stats.matches += 1
-        self.stats.match_seconds += time.perf_counter() - started
+        self.stats.match_seconds += timing.perf_counter() - started
         return result
 
     def match_batch(
@@ -289,12 +280,11 @@ class BasisStore:
         on each response; the sum is exactly what ``candidates_tested``
         grew by).
         """
-        started = time.perf_counter()
+        started = timing.perf_counter()
         probes = list(fingerprints)
         results: List[Optional[MatchResult]] = []
         for probe, candidates in zip(
-            probes,
-            self.index.candidates_batch(probes, backend=self.backend),
+            probes, self.index.candidates_batch(probes)
         ):
             self.stats.lookups += 1
             result, tested = self._match_candidates(probe, candidates)
@@ -304,7 +294,7 @@ class BasisStore:
             if tested_out is not None:
                 tested_out.append(tested)
             results.append(result)
-        self.stats.match_seconds += time.perf_counter() - started
+        self.stats.match_seconds += timing.perf_counter() - started
         return results
 
     def _match_candidates(
@@ -317,7 +307,14 @@ class BasisStore:
         winning basis's :attr:`~BasisDistribution.hits` reuse counter is
         bumped here, so both the scalar and columnar paths (and every
         verify/fallback branch) count a reuse exactly once.
+
+        A probe with a NaN or infinite entry matches nothing (every
+        candidate counts as tested), and a stored basis with one is never
+        matched: non-finite entries make the tolerances NaN/inf, under
+        which every family would accept a bogus mapping.
         """
+        if not fingerprint.finite:
+            return None, len(candidates)
         result, tested = self._validate_candidates(fingerprint, candidates)
         if result is not None:
             result.basis.hits += 1
@@ -352,6 +349,8 @@ class BasisStore:
         """Reference implementation: per-candidate FindMapping loop."""
         for position, basis_id in enumerate(candidates):
             basis = self._bases[basis_id]
+            if not basis.fingerprint.finite:
+                continue
             mapping = self.mapping_family.find(
                 basis.fingerprint,
                 fingerprint,
@@ -378,14 +377,15 @@ class BasisStore:
             fingerprint,
             rel_tol=self.rel_tol,
             abs_tol=self.abs_tol,
-            keys=CandidateKeys(block, rows, backend=self.backend),
-            backend=self.backend,
+            keys=CandidateKeys(block, rows),
         )
         for index in np.nonzero(plausible)[0]:
+            position = int(positions[index])
+            basis = self._bases[candidates[position]]
+            if not basis.fingerprint.finite:
+                continue
             mapping = build(int(index))
             if mapping is not None:
-                position = int(positions[index])
-                basis = self._bases[candidates[position]]
                 return MatchResult(basis, mapping), position + 1
         return None, len(candidates)
 

@@ -139,11 +139,11 @@ class _SizeBlock:
             return active
         return active[row_indices]
 
-    def sid_matrix(self, backend=None) -> np.ndarray:
+    def sid_matrix(self) -> np.ndarray:
         """Ascending SID-order keys, one row per stored fingerprint.
 
         Filled from each fingerprint's cached ``sid_order`` (computing the
-        missing ones in one vectorized pass through ``backend``), so
+        missing ones in one vectorized pass), so
         entries are bitwise the keys a :class:`SortedSIDIndex` hashed on
         insert.
         """
@@ -153,7 +153,7 @@ class _SizeBlock:
             )
         if self._sid_filled < self.count:
             fresh = self.fingerprints[self._sid_filled : self.count]
-            orders = batch_sid_orders(fresh, backend=backend)
+            orders = batch_sid_orders(fresh)
             self._sid_matrix[self._sid_filled : self.count] = orders
             self._sid_filled = self.count
         return self._sid_matrix[: self.count]
@@ -192,7 +192,7 @@ class _SizeBlock:
         }
         return block
 
-    def nf_matrix(self, rel_tol: float, backend=None) -> np.ndarray:
+    def nf_matrix(self, rel_tol: float) -> np.ndarray:
         """Normal-form keys, one row per stored fingerprint (lazy, cached
         per tolerance like :meth:`Fingerprint.normal_form` itself)."""
         entry = self._nf_matrix.get(rel_tol)
@@ -201,9 +201,7 @@ class _SizeBlock:
         matrix, filled = entry
         if filled < self.count:
             fresh = self.fingerprints[filled : self.count]
-            matrix[filled : self.count] = batch_normal_forms(
-                fresh, rel_tol, backend=backend
-            )
+            matrix[filled : self.count] = batch_normal_forms(fresh, rel_tol)
             filled = self.count
         self._nf_matrix[rel_tol] = (matrix, filled)
         return matrix[: self.count]
@@ -214,26 +212,19 @@ class CandidateKeys:
 
     Families that prune on order statistics (monotone) read ``sid_asc()``;
     families that never ask keep the store from materializing anything.
-    ``backend`` (carried from the owning store) routes lazy key fills
-    through the store's compute backend.
     """
 
-    def __init__(
-        self, block: _SizeBlock, row_indices: np.ndarray, backend=None
-    ):
+    def __init__(self, block: _SizeBlock, row_indices: np.ndarray):
         self._block = block
         self._rows = row_indices
-        self._backend = backend
 
     def sid_asc(self) -> np.ndarray:
         """Ascending SID-order rows for the gathered candidates."""
-        return self._block.sid_matrix(backend=self._backend)[self._rows]
+        return self._block.sid_matrix()[self._rows]
 
     def normal_forms(self, rel_tol: float) -> np.ndarray:
         """Normal-form key rows for the gathered candidates."""
-        return self._block.nf_matrix(rel_tol, backend=self._backend)[
-            self._rows
-        ]
+        return self._block.nf_matrix(rel_tol)[self._rows]
 
 
 class ColumnarStore:

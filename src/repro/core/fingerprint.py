@@ -24,6 +24,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import backend
 from repro.core.seeds import SeedBank
 from repro.errors import FingerprintError
 
@@ -91,6 +92,16 @@ class Fingerprint:
 
     def __iter__(self):
         return iter(self.values)
+
+    @property
+    def finite(self) -> bool:
+        """Whether every entry is finite (no NaN, no inf).  Matching
+        refuses non-finite fingerprints on both sides."""
+        cached = self._cache.get("finite")
+        if cached is None:
+            cached = all(map(math.isfinite, self.values))
+            self._cache["finite"] = cached
+        return cached  # type: ignore[return-value]
 
     def scale(self) -> float:
         """Characteristic magnitude used to set relative comparison scales."""
@@ -214,32 +225,9 @@ def _pending_by_size(
     return pending
 
 
-def _normal_forms_matrix(
-    matrix: np.ndarray, rel_tol: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normal-form components for a stack of same-size fingerprints.
-
-    Returns ``(has_pair, position, forward, reflected)`` with matrix
-    arithmetic elementwise identical to the scalar computation.  This is
-    the ``normal_forms`` compute-backend kernel's numpy reference.
-    """
-    has_pair, position = rows_first_distinct(matrix, rel_tol)
-    lows = matrix.min(axis=1)
-    spans = matrix.max(axis=1) - lows
-    # Constant rows never read their (possibly zero) span.
-    safe_spans = np.where(has_pair, spans, 1.0)
-    normalized = (matrix - lows[:, None]) / safe_spans[:, None]
-    forward = np.round(normalized, NORMAL_FORM_DECIMALS)
-    forward[forward == 0] = 0.0  # collapse -0.0 and 0.0 keys
-    reflected = np.round(1.0 - forward, NORMAL_FORM_DECIMALS)
-    reflected[reflected == 0] = 0.0
-    return has_pair, position, forward, reflected
-
-
 def batch_normal_forms(
     fingerprints: Sequence[Fingerprint],
     rel_tol: float = DEFAULT_REL_TOL,
-    backend=None,
 ) -> list:
     """:meth:`Fingerprint.normal_form` for many probes in vectorized passes.
 
@@ -247,17 +235,10 @@ def batch_normal_forms(
     arithmetic that is elementwise identical to the scalar computation, so
     the resulting hash keys are bitwise the same; each key is written back
     into its fingerprint's cache (later scalar probes reuse it for free).
-    ``backend`` routes the matrix kernel through a compute backend
-    (default: the process-active one) — every backend returns the same
-    bits or degrades trying.
     """
-    from repro.core.backend import resolve_backend
-
     cache_key = ("normal_form", rel_tol)
     distinct_key = ("distinct", rel_tol)
     pending = _pending_by_size(fingerprints, cache_key)
-    if pending:
-        backend = resolve_backend(backend)
     for size, indices in pending.items():
         matrix = np.stack([fingerprints[i].array for i in indices])
         has_pair, position, forward, reflected = backend.normal_forms(
@@ -283,22 +264,15 @@ def batch_normal_forms(
 def batch_sid_orders(
     fingerprints: Sequence[Fingerprint],
     descending: bool = False,
-    backend=None,
 ) -> list:
     """:meth:`Fingerprint.sid_order` for many probes in vectorized passes.
 
     Stable row-wise argsort over a size-grouped matrix equals the scalar
     per-fingerprint argsort entry for entry; results land in each
     fingerprint's cache, exactly as a scalar probe would have left them.
-    ``backend`` routes the argsort kernel through a compute backend
-    (default: the process-active one).
     """
-    from repro.core.backend import resolve_backend
-
     cache_key = "sid_desc" if descending else "sid_asc"
     pending = _pending_by_size(fingerprints, cache_key)
-    if pending:
-        backend = resolve_backend(backend)
     for _, indices in pending.items():
         matrix = np.stack([fingerprints[i].array for i in indices])
         if descending:

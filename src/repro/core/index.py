@@ -108,7 +108,7 @@ class FingerprintIndex(ABC):
         )
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self, fingerprints: Sequence[Fingerprint]
     ) -> List[List[int]]:
         """Per-probe candidate lists for a whole batch of probes.
 
@@ -116,8 +116,7 @@ class FingerprintIndex(ABC):
         same ids, same order — so batched matching inherits the scalar
         path's first-match-wins tie-breaking.  Hash-keyed strategies
         override this to compute every probe's key in one vectorized
-        pass (routed through ``backend``, default the process-active
-        compute backend) before the bucket lookups.
+        pass before the bucket lookups.
         """
         return [self.candidates(fp) for fp in fingerprints]
 
@@ -174,7 +173,7 @@ class ArrayIndex(FingerprintIndex):
         return list(self._ids)
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self, fingerprints: Sequence[Fingerprint]
     ) -> List[List[int]]:
         # No keys to vectorize: every probe scans every stored basis.
         return [list(self._ids) for _ in fingerprints]
@@ -250,11 +249,9 @@ class NormalizationIndex(FingerprintIndex):
         return list(self._buckets.get(key, ()))
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self, fingerprints: Sequence[Fingerprint]
     ) -> List[List[int]]:
-        keys = batch_normal_forms(
-            list(fingerprints), self._rel_tol, backend=backend
-        )
+        keys = batch_normal_forms(list(fingerprints), self._rel_tol)
         return [list(self._buckets.get(key, ())) for key in keys]
 
     def remove(self, fingerprint: Fingerprint, basis_id: int) -> None:
@@ -327,13 +324,11 @@ class SortedSIDIndex(FingerprintIndex):
         )
 
     def candidates_batch(
-        self, fingerprints: Sequence[Fingerprint], backend=None
+        self, fingerprints: Sequence[Fingerprint]
     ) -> List[List[int]]:
         probes = list(fingerprints)
-        ascending = batch_sid_orders(probes, backend=backend)
-        descending = batch_sid_orders(
-            probes, descending=True, backend=backend
-        )
+        ascending = batch_sid_orders(probes)
+        descending = batch_sid_orders(probes, descending=True)
         return [
             self._candidates_for(asc, desc)
             for asc, desc in zip(ascending, descending)

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import backend
 from repro.core.fingerprint import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -205,7 +206,6 @@ class MappingFamily(ABC):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """:meth:`find` against a ``(rows, m)`` stack of source fingerprints.
 
@@ -217,9 +217,6 @@ class MappingFamily(ABC):
         ``keys``, when given, exposes precomputed per-row index-key matrices
         (``sid_asc()`` — see :class:`repro.core.columnar.CandidateKeys`) so
         monotone order checks read order statistics instead of re-sorting.
-        ``backend`` selects the compute backend for the dense validation
-        kernels (default: the process-active one); the generic
-        per-row fallback here never launches one.
         """
         sources = np.asarray(sources, dtype=float)
         plausible = np.ones(len(sources), dtype=bool)
@@ -259,21 +256,15 @@ def _rows_affine_valid(
     target: Fingerprint,
     rel_tol: float,
     abs_tol: float,
-    backend=None,
 ) -> np.ndarray:
     """Row-wise :func:`_validates` for affine candidates.
 
     Literally ``alpha * source + beta`` per row — the same IEEE multiply
     and add :meth:`AffineMapping.apply_array` performs — against the same
     per-probe tolerance, so the accept set matches the scalar loop bitwise.
-    ``backend`` routes the dense kernel through a compute backend
-    (default: the process-active one); accelerated implementations are
-    self-verified against the numpy expression.
     """
-    from repro.core.backend import resolve_backend
-
     tol = max(rel_tol * max(target.scale(), 1.0), abs_tol)
-    return resolve_backend(backend).affine_validate(
+    return backend.affine_validate(
         np.asarray(sources, dtype=np.float64),
         np.asarray(alpha, dtype=np.float64),
         np.asarray(beta, dtype=np.float64),
@@ -334,7 +325,6 @@ class LinearMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """Algorithm 2 across all candidate rows in one array pass."""
         sources = np.asarray(sources, dtype=float)
@@ -369,7 +359,6 @@ class LinearMappingFamily(MappingFamily):
                     target,
                     rel_tol,
                     abs_tol,
-                    backend=backend,
                 )
 
         def build(row: int) -> AffineMapping:
@@ -411,7 +400,6 @@ class IdentityMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -423,7 +411,6 @@ class IdentityMappingFamily(MappingFamily):
                 target,
                 rel_tol,
                 abs_tol,
-                backend=backend,
             )
             if rows
             else np.zeros(0, dtype=bool)
@@ -476,7 +463,6 @@ class ShiftMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -491,7 +477,6 @@ class ShiftMappingFamily(MappingFamily):
                 target,
                 rel_tol,
                 abs_tol,
-                backend=backend,
             )
         return valid, lambda row: AffineMapping(1.0, float(beta[row]))
 
@@ -534,7 +519,6 @@ class ScaleMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         sources = np.asarray(sources, dtype=float)
         rows = len(sources)
@@ -564,7 +548,6 @@ class ScaleMappingFamily(MappingFamily):
                     target,
                     rel_tol,
                     abs_tol,
-                    backend=backend,
                 )
 
         def build(row: int) -> AffineMapping:
@@ -613,7 +596,6 @@ class MonotoneMappingFamily(MappingFamily):
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         keys: Optional["object"] = None,
-        backend=None,
     ) -> MatrixFind:
         """Order-statistics screen over all rows, exact build per survivor.
 
@@ -632,9 +614,7 @@ class MonotoneMappingFamily(MappingFamily):
             if keys is not None:
                 source_orders = keys.sid_asc()
             else:
-                from repro.core.backend import resolve_backend
-
-                source_orders = resolve_backend(backend).sid_orders(sources)
+                source_orders = backend.sid_orders(sources)
             target_asc = np.asarray(target.sid_order(), dtype=np.int64)
             target_desc = np.asarray(
                 target.sid_order(descending=True), dtype=np.int64

@@ -103,14 +103,20 @@ class TestFig8:
     def test_series_cover_all_workloads_under_fake_clock(self):
         """The timing series themselves, deterministic: one tick per
         timed region, so both series exist, align, and carry the exact
-        per-read tick — no scheduler noise term."""
+        per-read tick — no scheduler noise term.  Jigsaw sweeps also
+        time every store match through the same clock (two readings per
+        point, one match per point); the Markov jump runner probes no
+        store."""
         with use_clock(FakeClock(tick=0.125)):
             result = run_fig8("quick")
         full = dict(result.series_named("Full Evaluation").points)
         jigsaw = dict(result.series_named("Jigsaw").points)
         assert set(full) == set(jigsaw) == {0.0, 1.0, 2.0, 3.0}
         assert all(seconds == 0.125 for seconds in full.values())
-        assert all(seconds == 0.125 for seconds in jigsaw.values())
+        for index, label in enumerate(("Usage", "Capacity", "Overload")):
+            points = result.data[label]["points"]
+            assert jigsaw[float(index)] == 0.125 * (1 + 2 * points), label
+        assert jigsaw[3.0] == 0.125
 
     def test_to_text_includes_notes(self):
         text = run_fig8("quick").to_text()

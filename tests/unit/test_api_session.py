@@ -257,6 +257,48 @@ class TestWireCodec:
             response = session.handle(request)
             assert decode_response(encode_response(response)) == response
 
+    def test_stats_decoding_ignores_old_backend_key(self):
+        """Older peers sent a per-store ``backend`` descriptor with stats;
+        such a document still decodes, to the same response."""
+        response = make_session().stats(StatsRequest(request_id=7))
+        encoded = encode_response(response)
+        assert "backend" not in encoded
+        old_peer = dict(encoded, backend={"default": "numpy"})
+        assert decode_response(old_peer) == response
+        assert decode_response(encoded) == response
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "strategy", ["array", "normalization", "sorted_sid"]
+    )
+    def test_non_finite_fingerprints_never_match_over_the_wire(
+        self, strategy
+    ):
+        nan, inf = float("nan"), float("inf")
+        session = Session.create(index_strategy=strategy)
+        store = session.store()
+        store.add(BASE, SAMPLES)
+        store.add(Fingerprint((1.0, nan, 3.0, 4.0, 5.0)), SAMPLES)
+        store.add(Fingerprint((1.0, inf, 3.0, 4.0, 5.0)), SAMPLES)
+        requests = [
+            MatchRequest(fingerprint=(7.0, nan, -3.0, 100.0, 0.5)),
+            EstimateRequest(fingerprint=(1.0, nan, 3.0, 4.0, 5.0)),
+            MatchRequest(fingerprint=(inf, 1.0, 2.0, 3.0, 4.0)),
+            # Finite, but a NaN tolerance would shift it onto a stored
+            # non-finite basis.
+            EstimateRequest(fingerprint=(5.0, 5.0, 5.0, 5.0, 5.0)),
+            MatchRequest(fingerprint=_affine(BASE, 2.0, 1.0)),
+        ]
+        wire = [decode_request(encode_request(r)) for r in requests]
+        responses = [
+            decode_response(encode_response(response))
+            for response in session.handle_batch(wire)
+        ]
+        assert [r.matched for r in responses] == [
+            False, False, False, False, True
+        ]
+        assert responses[-1].basis_id == 0
+
     def test_unknown_kind_refused(self):
         with pytest.raises(ProtocolError):
             decode_request({"kind": "divine"})

@@ -13,6 +13,7 @@ from repro.core.mapping import (
     LinearMappingFamily,
     MonotoneMappingFamily,
 )
+from repro.util.timing import FakeClock, use_clock
 
 
 def affine_fp(fp, alpha, beta):
@@ -106,6 +107,20 @@ class TestStats:
             "matches",
             "bases_created",
         }
+
+    def test_match_seconds_reads_the_injectable_clock(self):
+        """Each match() and match_batch() call reads the clock exactly
+        twice, so under a FakeClock the total is one tick per call."""
+        store = BasisStore()
+        store.add(BASE_FP, BASE_SAMPLES)
+        probes = [BASE_FP, affine_fp(BASE_FP, 2.0, 1.0), Fingerprint((3.0,))]
+        with use_clock(FakeClock(tick=0.25)):
+            store.match(BASE_FP)
+            assert store.stats.match_seconds == 0.25
+            store.match_batch(probes)
+            assert store.stats.match_seconds == 0.5
+            store.match(Fingerprint((9.0, 1.0, 7.0, 3.0, 5.0)))
+        assert store.stats.match_seconds == 0.75
 
 
 class TestExtendBasis:

@@ -8,6 +8,8 @@ built-in box and both Markov models, including the rare ziggurat-rejection
 lanes that fall back to per-seed generators.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.blackbox.overload import OverloadModel
 from repro.blackbox.rng import DeterministicRng
 from repro.blackbox.synth_basis import SynthBasisModel
 from repro.blackbox.user_selection import UserSelectionModel
+from repro.core import backend
 from repro.core.estimator import MetricSet
 from repro.core.explorer import NaiveExplorer, ParameterExplorer
 from repro.core.markov import MarkovJumpRunner, NaiveMarkovRunner
@@ -31,9 +34,51 @@ BANK = SeedBank()
 SEEDS = BANK.seed_array(64)
 
 
+@pytest.fixture()
+def rearmed_fast_path():
+    """Run a test against a freshly re-armed self-test, then re-arm it
+    again so no degrade outlives the test."""
+    fastrng.reset_fast_path()
+    yield
+    fastrng.reset_fast_path()
+
+
 class TestFastRngStreamParity:
     def test_fast_path_self_test_passes(self):
         assert fastrng.fast_path_available()
+        assert fastrng.fast_path_status() == "ok"
+
+    def test_lying_draw_stream_degrades_to_scalar_once(
+        self, monkeypatch, rearmed_fast_path
+    ):
+        """A vector stream that disagrees with per-seed Generators is
+        caught by the self-test: one warning, then bitwise answers via
+        the scalar path; ``reset_fast_path`` re-arms probe and warning."""
+        honest = backend.draw_block
+
+        def lying_draw_block(seeds, kinds):
+            out, ok = honest(seeds, kinds)
+            return out + 1.0, ok
+
+        monkeypatch.setattr(backend, "draw_block", lying_draw_block)
+        kinds = (fastrng.KIND_NORMAL, fastrng.KIND_UNIFORM)
+        seeds = np.arange(12, dtype=np.uint64)
+        assert fastrng.fast_path_status() == "untested"
+        with pytest.warns(RuntimeWarning, match="scalar draw path"):
+            matrix = fastrng.draw_matrix(seeds, kinds)
+        assert np.array_equal(
+            matrix, fastrng._draw_matrix_scalar(seeds, kinds)
+        )
+        assert fastrng.fast_path_status() == "degraded"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            assert not fastrng.fast_path_available()
+            fastrng.draw_matrix(seeds, kinds)
+
+        fastrng.reset_fast_path()
+        assert fastrng.fast_path_status() == "untested"
+        with pytest.warns(RuntimeWarning, match="scalar draw path"):
+            assert not fastrng.fast_path_available()
 
     @pytest.mark.parametrize(
         "kinds",
@@ -62,6 +107,10 @@ class TestFastRngStreamParity:
             rng = DeterministicRng(int(seeds[i]))
             expected = [draw[kind](rng) for kind in kinds]
             assert matrix[i].tolist() == expected
+        # Every row of the first 3000, bitwise, against per-seed Generators.
+        assert np.array_equal(
+            matrix[:3000], fastrng._draw_matrix_scalar(seeds[:3000], kinds)
+        )
 
     def test_rejection_lanes_are_bitwise_exact(self):
         seeds = np.arange(30000, dtype=np.uint64)

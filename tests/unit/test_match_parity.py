@@ -40,6 +40,8 @@ FAMILY_FACTORIES = {
 
 BASE = Fingerprint((0.0, 1.0, 0.5, 2.0, -1.0))
 SAMPLES = np.linspace(-1.0, 2.0, 40)
+#: A larger store: 24 seeded random rows, so candidate lists are long.
+RANDOM_ROWS = np.random.default_rng(20110614).standard_normal((24, 5))
 
 
 def _affine(fp, alpha, beta):
@@ -64,6 +66,7 @@ CONTENTS = {
         Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),  # other size
         _affine(BASE, -1.5, 0.25),
     ],
+    "random": [Fingerprint(row) for row in RANDOM_ROWS],
 }
 
 #: Probes covering every family's accept/reject cases plus size mismatches.
@@ -82,6 +85,13 @@ PROBES = [
     Fingerprint((0.3, 0.1, 0.9, 0.2, 0.8)),  # unrelated: miss
     Fingerprint((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),  # other size, exact
     Fingerprint((2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)),  # other size, 2x
+    # Images of the random rows deep in a long candidate list.
+    Fingerprint(RANDOM_ROWS[17]),  # exact
+    Fingerprint(1.5 * RANDOM_ROWS[9] + 1.0),  # affine
+    Fingerprint(RANDOM_ROWS[21] - 2.0),  # shift
+    Fingerprint(1.5 * RANDOM_ROWS[13]),  # scale
+    Fingerprint(RANDOM_ROWS[11] ** 3),  # monotone
+    Fingerprint(RANDOM_ROWS[5] + np.array([0.0, 0.0, 0.37, 0.0, 0.0])),  # miss
 ]
 
 
@@ -162,6 +172,62 @@ class TestMatchParity:
         assert lazy.stats.as_dict() == forced.stats.as_dict()
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: Stored fingerprints with a non-finite entry; none may ever be matched.
+NON_FINITE_BASES = [
+    Fingerprint((1.0, NAN, 3.0, 4.0, 5.0)),
+    Fingerprint((1.0, INF, 3.0, 4.0, 5.0)),
+    Fingerprint((-INF, 0.0, 1.0, 2.0, 3.0)),
+]
+
+#: Non-finite probes (none may ever match) and finite probes that a
+#: NaN/inf tolerance would pair with a non-finite basis.
+NON_FINITE_PROBES = [
+    Fingerprint((7.0, NAN, -3.0, 100.0, 0.5)),
+    Fingerprint((1.0, NAN, 3.0, 4.0, 5.0)),
+    Fingerprint((INF, 1.0, 2.0, 3.0, 4.0)),
+    Fingerprint((2.0, -INF, 6.0, 8.0, 10.0)),
+    Fingerprint((NAN,) * 5),
+]
+FINITE_PROBES = [
+    Fingerprint((5.0, 5.0, 5.0, 5.0, 5.0)),
+    Fingerprint((0.0, 0.0, 0.0, 0.0, 0.0)),
+    _affine(BASE, 2.0, 1.0),
+]
+
+
+# Stored NaN/inf rows still pass through the vectorized arithmetic.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFiniteNeverMatches:
+    """A NaN or inf entry makes every family's tolerance NaN/inf, under
+    which a bogus mapping would be accepted (e.g. the probe
+    ``(7, nan, -3, 100, 0.5)`` onto ``(1, nan, 3, 4, 5)`` by ``x + 6``).
+    Non-finite fingerprints must never match and never be matched."""
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("strategy", INDEX_STRATEGIES)
+    @pytest.mark.parametrize("family_name", sorted(FAMILY_FACTORIES))
+    def test_match_and_match_batch(self, family_name, strategy, columnar):
+        stores = []
+        for _ in range(2):
+            store = build_store(family_name, strategy, "mixed", columnar)
+            for fingerprint in NON_FINITE_BASES:
+                store.add(fingerprint, SAMPLES)
+            stores.append(store)
+        single, batched = stores
+        probes = NON_FINITE_PROBES + FINITE_PROBES
+        results = [single.match(probe) for probe in probes]
+        via_batch = batched.match_batch(probes)
+        for probe, got_single, got_batch in zip(probes, results, via_batch):
+            assert_same_match(got_single, got_batch)
+            if not probe.finite:
+                assert got_single is None, probe
+            elif got_single is not None:
+                assert got_single.basis.fingerprint.finite, probe
+        assert single.stats.as_dict() == batched.stats.as_dict()
+
+
 class TestMergeParity:
     LEFT = [BASE, _cubic(BASE), Fingerprint((3.0, 3.0, 3.0, 3.0, 3.0))]
     RIGHT = [
@@ -228,9 +294,9 @@ class TestSelfVerification:
         """Claims no candidate ever matches (a broken vectorized kernel)."""
 
         def find_matrix(self, sources, target, rel_tol=1e-9, abs_tol=1e-12,
-                        keys=None, backend=None):
+                        keys=None):
             plausible, build = super().find_matrix(
-                sources, target, rel_tol, abs_tol, keys, backend
+                sources, target, rel_tol, abs_tol, keys
             )
             return np.zeros_like(plausible), build
 

@@ -25,7 +25,7 @@ _RUN_ALL_PATH = os.path.join(
 )
 
 ALL_FIGURES = (
-    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "match", "crossover"
+    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "match"
 )
 
 
@@ -57,11 +57,6 @@ def _install_stubs(monkeypatch, run_all, counter=1.0):
     monkeypatch.setattr(run_all, "run_fig7", lambda scale: "Figure 7 stub")
     monkeypatch.setattr(
         run_all, "run_match", lambda scale: _stub_result("match", counter)
-    )
-    monkeypatch.setattr(
-        run_all,
-        "run_crossover",
-        lambda scale: _stub_result("crossover", counter),
     )
     for name in ALL_FIGURES[1:]:
         if not name.startswith("fig"):
