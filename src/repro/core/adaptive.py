@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -166,32 +166,54 @@ def next_target(current: int, cap: int, policy: AdaptiveBudget) -> int:
     return min(cap, max(policy.min_samples, 2 * max(current, 1)))
 
 
-#: ``draw(start, count)`` returns ``count`` fresh sample values for global
-#: sample ids ``[start, start + count)`` — typically a batched simulation
-#: over ``seed_bank.seed_array(count, start=start)``.
-DrawBlock = Callable[[int, int], np.ndarray]
+#: ``draw(start, count)`` returns ``count`` fresh rounds for global sample
+#: ids ``[start, start + count)``, one value vector per column — typically a
+#: batched simulation over ``seed_bank.seed_array(count, start=start)``.
+DrawBlock = Callable[[int, int], Dict[str, np.ndarray]]
 
 
 def grow_samples(
-    initial: np.ndarray,
+    initial: Dict[str, np.ndarray],
     draw: DrawBlock,
-    cap: int,
-    policy: AdaptiveBudget,
-) -> np.ndarray:
-    """Sequential estimation loop: grow ``initial`` until converged/capped.
+    budget: int,
+    policy: Optional[AdaptiveBudget] = None,
+) -> Dict[str, np.ndarray]:
+    """Complete a point's rounds: grow every column of ``initial`` together.
 
-    Stopping is re-evaluated after every block on the full accumulated
-    vector, so the decision sequence — and therefore the block schedule
-    and the returned vector — is a pure function of the sample values.
+    One round costs every column jointly, so the stopping decision is
+    joint: rounds keep growing until EVERY column's interval is inside
+    tolerance or the cap (``policy.cap(budget)``, never below the
+    initial size) is reached.  Stopping is re-evaluated after every block
+    on the full accumulated vectors, so the block schedule — and the
+    returned vectors — is a pure function of the sample values.  Without
+    a policy the fixed budget is one block of ``budget - size`` rounds.
     """
-    samples = np.asarray(initial, dtype=float)
-    while samples.size < cap and not policy.satisfied_by(samples):
-        target = next_target(int(samples.size), cap, policy)
-        block = np.asarray(
-            draw(int(samples.size), target - int(samples.size)), dtype=float
-        )
-        samples = np.concatenate([samples, block])
-    return samples
+    columns = {
+        name: np.asarray(values, dtype=float)
+        for name, values in initial.items()
+    }
+    size = len(next(iter(columns.values())))
+    if policy is None:
+        return _extend(columns, draw, size, budget)
+    cap = max(size, policy.cap(budget))
+    while size < cap and not all(
+        policy.satisfied_by(values) for values in columns.values()
+    ):
+        target = next_target(size, cap, policy)
+        columns = _extend(columns, draw, size, target)
+        size = target
+    return columns
+
+
+def _extend(
+    columns: Dict[str, np.ndarray], draw: DrawBlock, size: int, target: int
+) -> Dict[str, np.ndarray]:
+    """``columns`` grown from ``size`` to ``target`` rounds by one block."""
+    block = draw(size, target - size)
+    return {
+        name: np.concatenate([values, block[name]])
+        for name, values in columns.items()
+    }
 
 
 def fixed_budget_samples(

@@ -170,9 +170,12 @@ VERIFY_LOOKUPS = 4
 
 #: Probes with fewer candidates than this take the scalar loop: a couple of
 #: per-candidate find() calls against cached fingerprints beats the fixed
-#: cost of gathering rows and launching the matrix kernels.  Purely a
-#: latency knob — both paths return bit-identical results — exposed as an
-#: instance attribute so tests can force either path.
+#: cost of gathering rows and launching the matrix kernels.  Measured on a
+#: 2-core x86 host (Python 3.11, numpy 2.4), per missed probe: 1 candidate
+#: 12 µs scalar vs 59 µs columnar, 2: 22 vs 55, 4: 41 vs 56, 8: 92 vs 62.
+#: Purely a latency cutover — both paths return bit-identical results —
+#: exposed as an instance attribute so tests can force either path (0:
+#: always columnar; a huge value: always scalar).
 COLUMNAR_MIN_CANDIDATES = 8
 
 
@@ -189,10 +192,9 @@ class BasisStore:
     :meth:`MappingFamily.find_matrix` call instead of a per-candidate
     Python loop.  The scalar loop remains as the reference path: the first
     :data:`VERIFY_LOOKUPS` columnar lookups are checked against it and any
-    disagreement permanently falls back (``columnar=False`` forces the
-    scalar path outright).  Either way every probe returns the same basis
-    id, the same mapping parameters, and the same candidates-tested count
-    — first-match-wins tie-breaking included.
+    disagreement permanently falls back.  Either way every probe returns
+    the same basis id, the same mapping parameters, and the same
+    candidates-tested count — first-match-wins tie-breaking included.
     """
 
     def __init__(
@@ -203,7 +205,6 @@ class BasisStore:
         estimator: Optional[Estimator] = None,
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
-        columnar: bool = True,
     ):
         self.mapping_family = mapping_family or LinearMappingFamily()
         if index is None:
@@ -226,9 +227,7 @@ class BasisStore:
         self._bases: Dict[int, BasisDistribution] = {}
         self._next_id = 0
         self.columnar = ColumnarStore()
-        self.columnar_enabled = bool(
-            columnar and self.mapping_family.supports_find_matrix
-        )
+        self.columnar_enabled = bool(self.mapping_family.supports_find_matrix)
         self.columnar_min_candidates = COLUMNAR_MIN_CANDIDATES
         self._verify_remaining = VERIFY_LOOKUPS
 

@@ -25,7 +25,7 @@ from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator, MetricSet
 from repro.core.fingerprint import Fingerprint
 from repro.core.mapping import Mapping
-from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank
+from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, SweepSeeds
 
 #: A simulation is any deterministic-under-seed scalar function of a
 #: parameter point — typically an entire PDB query over black boxes.
@@ -33,6 +33,16 @@ Simulation = Callable[[Params, int], float]
 
 #: A batch simulation evaluates one point under many seeds in one call.
 BatchSimulation = Callable[[Params, np.ndarray], np.ndarray]
+
+#: A rounds provider returns ``count`` Monte Carlo rounds of a point,
+#: starting at global round ``start``, one value vector per output column:
+#: ``rounds(point, count, start) -> {column: values}``.  Round ``0`` opens
+#: every point (its fingerprint rounds); the sharded engine injects
+#: recording and playback providers through this one signature.
+Rounds = Callable[[Params, int, int], Dict[str, np.ndarray]]
+
+#: The explorer's one output column: the simulation's scalar value.
+VALUE = "value"
 
 
 def make_batch_simulation(simulation) -> BatchSimulation:
@@ -172,13 +182,16 @@ class ParameterExplorer:
             )
         self.store = basis_store
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
-        self._fingerprint_seeds = self.seed_bank.seed_array(
-            self.fingerprint_size
+        self._seeds = SweepSeeds(
+            self.seed_bank, fingerprint_size, samples_per_point
         )
-        self._completion_seeds = self.seed_bank.seed_array(
-            self.samples_per_point - self.fingerprint_size,
-            start=self.fingerprint_size,
-        )
+
+    def _simulate_rounds(
+        self, params: Params, count: int, start: int
+    ) -> Dict[str, np.ndarray]:
+        """The live rounds provider: one batched simulation call."""
+        seeds = self._seeds(count, start)
+        return {VALUE: self._batch_simulation(params, seeds)}
 
     def explore_point(self, params: Params) -> PointResult:
         """Evaluate one parameter point with reuse (paper Algorithm 3).
@@ -198,9 +211,14 @@ class ParameterExplorer:
         either way, so enabling the policy never changes which points are
         reused.
         """
-        fingerprint_values = self._batch_simulation(
-            params, self._fingerprint_seeds
-        )
+        return self._explore_point(params, self._simulate_rounds)
+
+    def _explore_point(self, params: Params, rounds: Rounds) -> PointResult:
+        """:meth:`explore_point` drawing its rounds from ``rounds``; the
+        sharded engine (:mod:`repro.core.parallel`) passes its recording and
+        playback providers here so this one step serves every execution
+        mode."""
+        fingerprint_values = rounds(params, self.fingerprint_size, 0)[VALUE]
         fingerprint = Fingerprint(fingerprint_values)
         matched = self.store.match(fingerprint)
         if matched is not None:
@@ -215,23 +233,12 @@ class ParameterExplorer:
                 fingerprint=fingerprint,
                 samples_drawn=self.fingerprint_size,
             )
-        if self.adaptive is None:
-            remaining = self._batch_simulation(params, self._completion_seeds)
-            samples = np.concatenate(
-                [np.asarray(fingerprint_values, dtype=float), remaining]
-            )
-        else:
-            samples = grow_samples(
-                np.asarray(fingerprint_values, dtype=float),
-                lambda start, count: self._batch_simulation(
-                    params, self.seed_bank.seed_array(count, start=start)
-                ),
-                cap=max(
-                    self.fingerprint_size,
-                    self.adaptive.cap(self.samples_per_point),
-                ),
-                policy=self.adaptive,
-            )
+        samples = grow_samples(
+            {VALUE: fingerprint_values},
+            lambda start, count: rounds(params, count, start),
+            self.samples_per_point,
+            self.adaptive,
+        )[VALUE]
         basis = self.store.add(fingerprint, samples)
         return PointResult(
             params=dict(params),
@@ -245,18 +252,25 @@ class ParameterExplorer:
 
     def run(self, space: Iterable[Params]) -> ExplorationResult:
         """Explore every point of ``space`` (the Parameter Enumerator loop)."""
+        return self._sweep(space, self._simulate_rounds)
+
+    def _sweep(
+        self, space: Iterable[Params], rounds: Rounds
+    ) -> ExplorationResult:
+        """:meth:`run` with an injected rounds provider; stats count every
+        visited point, repeated parameter points included."""
         result = ExplorationResult()
+        stats = result.stats
         for params in space:
-            point = self.explore_point(params)
-            key = param_key(params)
-            result.points[key] = point
-            result.stats.points_total += 1
-            result.stats.fingerprint_samples += self.fingerprint_size
+            point = self._explore_point(params, rounds)
+            result.points[param_key(params)] = point
+            stats.points_total += 1
+            stats.fingerprint_samples += self.fingerprint_size
             if point.reused:
-                result.stats.points_reused += 1
+                stats.points_reused += 1
             else:
-                result.stats.bases_created += 1
-                result.stats.full_samples += (
+                stats.bases_created += 1
+                stats.full_samples += (
                     point.samples_drawn - self.fingerprint_size
                 )
         return result

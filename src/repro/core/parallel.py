@@ -7,20 +7,26 @@ are independent, and a missed reuse opportunity only ever costs duplicate
 work — never correctness — so shard-local basis stores can speculate freely
 and be reconciled afterwards.
 
-The engine runs in two phases:
+One engine (:func:`sharded_sweep`) serves both front ends,
+:class:`ParallelExplorer` and :class:`~repro.scenario.ScenarioRunner`; the
+explorer is its one-column case.  Each front end contributes its one serial
+loop, which draws every point's Monte Carlo rounds through a *rounds
+provider* ``(point, count, start) -> {column: values}``.  The engine runs
+that loop in two phases:
 
 1. **Speculate** (parallel): the parameter space is split into contiguous
-   shards, one fork-pool worker per shard.  Each worker runs a plain
-   :class:`~repro.core.explorer.ParameterExplorer` over its shard with its
-   own :class:`~repro.core.basis.BasisStore` and a fresh standard-draw
-   cache, and ships back, per point, the fingerprint values plus — for
-   points it fully simulated — the full sample vector.
-2. **Replay-merge** (serial, cheap): the master replays the points in
-   canonical space order against one merged store, re-probing every
-   incoming fingerprint so cross-shard duplicate bases collapse into
-   mappings.  A replay miss consumes the worker's precomputed samples; in
-   the rare case a shard reused a point the canonical order simulates
-   fully, the master re-runs that point's completion rounds itself.
+   shards, one fork-pool worker per shard.  Each worker runs the serial
+   loop over its shard with its own cold stores, a fresh standard-draw
+   cache, and a *recording* provider, and ships back one record per
+   visited point: the fingerprint rounds plus — for points it fully
+   simulated — the rounds past the fingerprint, per column.
+2. **Replay-merge** (serial, cheap): the master runs the same serial loop
+   over the canonical space order against the merged stores with a
+   *playback* provider, re-probing every incoming fingerprint so
+   cross-shard duplicate bases collapse into mappings.  A replay miss
+   consumes the worker's recorded rounds; in the rare case a shard reused
+   a point the canonical order simulates fully, the master re-runs that
+   point's completion rounds itself.
    (:meth:`BasisStore.merge` / :meth:`FingerprintIndex.merge` apply the
    same collapse rule at store granularity — point order forgotten — for
    offline merging of independently built stores; the replay here works
@@ -30,7 +36,7 @@ The engine runs in two phases:
 Because simulations are deterministic under the shared seed bank, the
 replay *is* the serial algorithm with sampling outsourced: per-point
 metrics, reuse decisions, basis ids, mappings, and counters are all
-bit-identical to the serial explorer for every worker count.  (The engine
+bit-identical to the serial sweep for every worker count.  (The engine
 therefore guarantees more than the documented invariant — estimates may
 never differ; decisions happen not to either.)  Only the *shard-side* work
 varies with the shard count; :class:`ParallelStats` accounts for it.
@@ -48,6 +54,7 @@ re-probes incoming bases through the same columnar engine otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -66,14 +73,15 @@ from repro.core.adaptive import AdaptiveBudget
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator
 from repro.core.explorer import (
+    VALUE,
     ExplorationResult,
     ExplorerStats,
     ParameterExplorer,
+    Rounds,
     Simulation,
-    make_batch_simulation,
 )
 from repro.core.mapping import MappingFamily
-from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, SeedSlice
+from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank
 from repro.core.supervise import (
     ShardSupervisor,
     SupervisionPolicy,
@@ -84,7 +92,7 @@ from repro.core.supervise import (
 # Fork fan-out
 #
 # Workers are forked, not spawned: the shard context (simulation callable,
-# store factory, scenario object, ...) is handed over through inherited
+# front-end factory, scenario object, ...) is handed over through inherited
 # memory instead of pickling, so closures and bound methods parallelize as
 # well as module-level functions.  Only the shard *results* cross the wire.
 #
@@ -246,7 +254,7 @@ def shard_slices(total: int, shard_count: int) -> List[slice]:
 
 
 # ---------------------------------------------------------------------------
-# Parallel explorer
+# The sharded sweep engine (shared by ParallelExplorer and ScenarioRunner)
 
 
 @dataclass
@@ -281,77 +289,115 @@ class ParallelStats:
 
 
 @dataclass
-class _ShardPointRecord:
-    """One point's shipped outcome: fingerprint, and samples on a miss.
+class _ShardRecord:
+    """One visited point's shipped rounds, per output column.
 
-    ``samples`` carries the shard's *complete* draw for the point — under
-    an adaptive budget its length IS the per-point sample count the shard
-    recorded, and the canonical replay consumes it block-by-block (the
-    adaptive schedule is a pure function of the sample values, so the
-    replay requests exactly these values back in exactly these blocks).
+    ``fingerprints`` are the point's fingerprint rounds.  ``samples`` is
+    set only when the shard simulated the point: the rounds it drew past
+    the fingerprint.  Under an adaptive budget their length IS the point's
+    adaptive count, and the canonical replay consumes them block by block
+    (the stopping rule is a pure function of the sample values, so the
+    replay asks for exactly these rounds back in exactly these blocks).
     """
 
-    fingerprint_values: np.ndarray
-    samples: Optional[np.ndarray]
+    fingerprints: Dict[str, np.ndarray]
+    samples: Optional[Dict[str, np.ndarray]] = None
+
+    @property
+    def rounds(self) -> int:
+        """Monte Carlo rounds the shard drew for this point."""
+        column = next(iter(self.fingerprints))
+        drawn = len(self.fingerprints[column])
+        if self.samples is not None:
+            drawn += len(self.samples[column])
+        return drawn
 
 
 @dataclass
 class _ShardOutcome:
-    records: List[_ShardPointRecord]
-    stats: ExplorerStats
+    records: List[_ShardRecord]
+    stats: Any  # the front end's ExplorerStats or RunnerStats
+
+
+class _Recorder:
+    """Rounds provider for a shard job: draws live, keeps every point's
+    rounds as a :class:`_ShardRecord` (one per visited point, in order)."""
+
+    def __init__(self, live: Rounds):
+        self._live = live
+        self.records: List[_ShardRecord] = []
+
+    def __call__(
+        self, point: Params, count: int, start: int
+    ) -> Dict[str, np.ndarray]:
+        values = self._live(point, count, start)
+        if start == 0:  # fingerprint rounds open each point
+            self.records.append(_ShardRecord(values))
+            return values
+        record = self.records[-1]
+        if record.samples is None:
+            record.samples = values
+        else:  # a later adaptive block
+            record.samples = {
+                column: np.concatenate([drawn, values[column]])
+                for column, drawn in record.samples.items()
+            }
+        return values
+
+
+class _Playback:
+    """Rounds provider for the canonical replay: serves the shards' records.
+
+    Fingerprint rounds (``start == 0``) open the next record; completion
+    rounds are slices of the record's samples.  Only when a shard reused
+    a point the canonical order must simulate does a request fall through
+    to the live provider; such points are counted once, at their first
+    completion block, however many blocks they draw.
+    """
+
+    def __init__(
+        self,
+        records: Iterable[_ShardRecord],
+        live: Rounds,
+        fingerprint_size: int,
+    ):
+        self._records = iter(records)
+        self._live = live
+        self._fingerprint_size = fingerprint_size
+        self._record: Optional[_ShardRecord] = None
+        self.points_resimulated = 0
+
+    def __call__(
+        self, point: Params, count: int, start: int
+    ) -> Dict[str, np.ndarray]:
+        if start == 0:
+            self._record = next(self._records)
+            return self._record.fingerprints
+        offset = start - self._fingerprint_size
+        if self._record.samples is not None:
+            return {
+                column: samples[offset:offset + count]
+                for column, samples in self._record.samples.items()
+            }
+        if offset == 0:
+            self.points_resimulated += 1
+        return self._live(point, count, start)
 
 
 @dataclass
-class _ExplorerShardContext:
+class _ShardJobs:
     """Inherited-by-fork description of one sweep's shard jobs."""
 
-    simulation: Simulation
+    #: Builds a serial front end with fresh, cold stores for one shard.
+    make_serial: Callable[[], Any]
     shards: List[List[Dict[str, float]]]
-    samples_per_point: int
-    fingerprint_size: int
-    fingerprint_slice: SeedSlice
-    estimator: Estimator
-    store_factory: Callable[[], BasisStore]
-    adaptive: Optional[AdaptiveBudget] = None
 
 
-def _run_explorer_shard(
-    context: _ExplorerShardContext, index: int
-) -> _ShardOutcome:
-    explorer = ParameterExplorer(
-        context.simulation,
-        samples_per_point=context.samples_per_point,
-        fingerprint_size=context.fingerprint_size,
-        basis_store=context.store_factory(),
-        seed_bank=context.fingerprint_slice.bank,
-        estimator=context.estimator,
-        adaptive=context.adaptive,
-    )
-    stats = ExplorerStats()
-    records = []
-    # One record per *visited* point, in shard order — explore_point per
-    # point rather than run(), whose result dict would collapse duplicate
-    # parameter points and misalign the replay.
-    for params in context.shards[index]:
-        point = explorer.explore_point(params)
-        stats.points_total += 1
-        stats.fingerprint_samples += context.fingerprint_size
-        if point.reused:
-            stats.points_reused += 1
-        else:
-            stats.bases_created += 1
-            stats.full_samples += (
-                point.samples_drawn - context.fingerprint_size
-            )
-        samples = (
-            None
-            if point.reused
-            else explorer.store.get(point.basis_id).samples
-        )
-        records.append(
-            _ShardPointRecord(point.fingerprint.array, samples)
-        )
-    return _ShardOutcome(records, stats)
+def _run_shard(jobs: _ShardJobs, index: int) -> _ShardOutcome:
+    serial = jobs.make_serial()
+    recorder = _Recorder(serial._simulate_rounds)
+    result = serial._sweep(jobs.shards[index], recorder)
+    return _ShardOutcome(recorder.records, result.stats)
 
 
 def space_digest(points: List[Dict[str, float]]) -> str:
@@ -371,101 +417,170 @@ def space_digest(points: List[Dict[str, float]]) -> str:
     return f"{zlib.crc32(canonical.encode()):08x}"
 
 
-def _encode_explorer_outcome(
-    outcome: _ShardOutcome,
+def _checkpoint_config(
+    serial, points, shards, columns: Tuple[str, ...], identity: dict
+) -> dict:
+    """A sweep's checkpoint identity: what a resume must agree on."""
+    budget: Optional[AdaptiveBudget] = serial.adaptive
+    adaptive = None
+    if budget is not None:
+        adaptive = {
+            "rtol": float(budget.rtol).hex(),
+            "atol": float(budget.atol).hex(),
+            "confidence": float(budget.confidence).hex(),
+            "max_samples": budget.max_samples,
+            "min_samples": budget.min_samples,
+            "method": budget.method,
+        }
+    return {
+        **identity,
+        "columns": list(columns),
+        "space": space_digest(points),
+        "shard_sizes": [len(shard) for shard in shards],
+        "samples_per_point": int(serial.samples_per_point),
+        "fingerprint_size": int(serial.fingerprint_size),
+        "seed_master": int(serial.seed_bank.master_seed),
+        "adaptive": adaptive,
+    }
+
+
+def _encode_outcome(
+    outcome: _ShardOutcome, columns: Tuple[str, ...]
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Checkpoint encoding of one shard outcome (meta dict + arrays)."""
+    """Checkpoint encoding of one shard outcome (meta dict + arrays).
+
+    Column arrays are keyed positionally (``fp{point}c{column}``): the
+    checkpoint config pins the column list, so positions are stable.
+    """
     arrays: Dict[str, np.ndarray] = {}
-    records = []
     for position, record in enumerate(outcome.records):
-        arrays[f"fp{position}"] = np.asarray(
-            record.fingerprint_values, dtype=np.float64
-        )
-        records.append({"samples": record.samples is not None})
-        if record.samples is not None:
-            arrays[f"s{position}"] = np.asarray(
-                record.samples, dtype=np.float64
+        for col, column in enumerate(columns):
+            arrays[f"fp{position}c{col}"] = np.asarray(
+                record.fingerprints[column], dtype=np.float64
             )
-    stats = outcome.stats
+            if record.samples is not None:
+                arrays[f"s{position}c{col}"] = np.asarray(
+                    record.samples[column], dtype=np.float64
+                )
     meta = {
-        "records": records,
-        "stats": {
-            "points_total": int(stats.points_total),
-            "points_reused": int(stats.points_reused),
-            "bases_created": int(stats.bases_created),
-            "fingerprint_samples": int(stats.fingerprint_samples),
-            "full_samples": int(stats.full_samples),
-        },
+        "simulated": [r.samples is not None for r in outcome.records],
+        "stats": dataclasses.asdict(outcome.stats),
     }
     return meta, arrays
 
 
-def _decode_explorer_outcome(
-    meta: dict, arrays: Dict[str, np.ndarray]
+def _decode_outcome(
+    meta: dict,
+    arrays: Dict[str, np.ndarray],
+    columns: Tuple[str, ...],
+    stats_type: type,
 ) -> _ShardOutcome:
-    records = []
-    for position, entry in enumerate(meta["records"]):
-        samples = (
-            np.asarray(arrays[f"s{position}"]) if entry["samples"] else None
+    def point_arrays(prefix: str, position: int) -> Dict[str, np.ndarray]:
+        return {
+            column: np.asarray(arrays[f"{prefix}{position}c{col}"])
+            for col, column in enumerate(columns)
+        }
+
+    records = [
+        _ShardRecord(
+            point_arrays("fp", position),
+            point_arrays("s", position) if simulated else None,
         )
-        records.append(
-            _ShardPointRecord(np.asarray(arrays[f"fp{position}"]), samples)
-        )
-    stats = ExplorerStats(
-        **{key: int(value) for key, value in meta["stats"].items()}
-    )
-    return _ShardOutcome(records, stats)
+        for position, simulated in enumerate(meta["simulated"])
+    ]
+    return _ShardOutcome(records, stats_type(**meta["stats"]))
 
 
-class _PlaybackSimulation:
-    """Replays worker-recorded sample vectors into a serial explorer.
+def sharded_sweep(
+    replay,
+    make_shard: Callable[[], Any],
+    points: List[Dict[str, float]],
+    *,
+    columns: Tuple[str, ...],
+    stats_type: type,
+    identity: dict,
+    workers: int,
+    supervision: Optional[SupervisionPolicy],
+    checkpoint: Optional[str],
+):
+    """Speculate in shards, then replay the canonical order; one engine for
+    :class:`ParallelExplorer` and :class:`~repro.scenario.ScenarioRunner`.
 
-    The merge phase runs a plain :class:`ParameterExplorer` over the full
-    space — the literal serial algorithm, stats and all — with this object
-    standing in for the simulation: fingerprint rounds return the shard's
-    recorded values, completion rounds return the shard's recorded samples
-    (consumed cursor-wise, so an adaptive budget's multiple completion
-    blocks replay as the exact slices the shard drew), and only when a
-    shard speculatively reused a point the canonical order must simulate
-    does it fall through to the real batch simulation.  Calls are
-    disambiguated by seed-array identity (the explorer passes its one
-    fingerprint-seed array for every fingerprint call), so the protocol is
-    safe even when both phases draw equally many rounds.
+    ``replay`` is a serial front end whose stores become the merged
+    stores; ``make_shard()`` builds a serial front end with cold stores
+    for one shard job.  Both expose the front end's one serial loop,
+    ``_sweep(points, rounds)``, and its live rounds provider,
+    ``_simulate_rounds``.  Shard jobs run the loop with a recording
+    provider; the replay runs it over every point with a playback
+    provider — so reuse decisions, per-point metrics, and counters are
+    serial by construction, and cross-shard duplicate bases collapse
+    exactly where a serial sweep would have reused them.
+
+    ``columns`` are the front end's output columns, ``stats_type`` its
+    stats dataclass, and ``identity`` its entries in the checkpoint
+    config.  With ``checkpoint`` set, completed-shard outcomes are
+    persisted as they arrive and a restarted run consumes the valid
+    records, recomputing only the remainder — bit-identical to an
+    uninterrupted run either way.
     """
+    shards = [points[s] for s in shard_slices(len(points), workers)]
+    loaded: Dict[int, _ShardOutcome] = {}
+    on_complete = None
+    if checkpoint is not None:
+        from repro.core.persist import SweepCheckpoint
 
-    def __init__(
-        self,
-        records: List[_ShardPointRecord],
-        batch_simulation,
-    ):
-        self._records = records
-        self._batch_simulation = batch_simulation
-        self._fingerprint_seeds: Optional[np.ndarray] = None
-        self._index = -1
-        self._cursor = 0
-        self._resimulated_index = -1
-        self.points_resimulated = 0
+        store = SweepCheckpoint(
+            checkpoint,
+            _checkpoint_config(replay, points, shards, columns, identity),
+        )
+        loaded = {
+            index: _decode_outcome(meta, arrays, columns, stats_type)
+            for index, (meta, arrays) in store.load().items()
+            if 0 <= index < len(shards)
+        }
 
-    def bind(self, fingerprint_seeds: np.ndarray) -> None:
-        self._fingerprint_seeds = fingerprint_seeds
+        def on_complete(index: int, outcome: _ShardOutcome) -> None:
+            store.record(index, *_encode_outcome(outcome, columns))
 
-    def sample_batch(self, params: Params, seeds: np.ndarray) -> np.ndarray:
-        if seeds is self._fingerprint_seeds:
-            self._index += 1
-            record = self._records[self._index]
-            self._cursor = len(record.fingerprint_values)
-            return record.fingerprint_values
-        record = self._records[self._index]
-        if record.samples is not None:
-            start = self._cursor
-            self._cursor += len(seeds)
-            return record.samples[start:self._cursor]
-        if self._resimulated_index != self._index:
-            # Count resimulated *points*, not completion calls: under an
-            # adaptive budget one resimulated point draws several blocks.
-            self._resimulated_index = self._index
-            self.points_resimulated += 1
-        return self._batch_simulation(params, seeds)
+    remaining = [i for i in range(len(shards)) if i not in loaded]
+    reports: List[SupervisionReport] = []
+    by_index = dict(loaded)
+    if remaining:
+        computed = fork_map(
+            _run_shard,
+            _ShardJobs(make_shard, shards),
+            len(shards),
+            workers,
+            policy=supervision,
+            indices=remaining,
+            on_shard_complete=on_complete,
+            report_sink=reports.append,
+        )
+        by_index.update(zip(remaining, computed))
+    outcomes = [by_index[index] for index in range(len(shards))]
+    records = [record for outcome in outcomes for record in outcome.records]
+    playback = _Playback(
+        records, replay._simulate_rounds, replay.fingerprint_size
+    )
+    result = replay._sweep(points, playback)
+    # A resimulated point creates bases (one per column) the shards never
+    # did; every other canonical basis adopted a shard's.
+    adopted = (
+        result.stats.bases_created
+        - playback.points_resimulated * len(columns)
+    )
+    shard_bases = sum(outcome.stats.bases_created for outcome in outcomes)
+    result.parallel = ParallelStats(
+        workers=workers,
+        shard_sizes=tuple(len(outcome.records) for outcome in outcomes),
+        shard_samples_drawn=sum(record.rounds for record in records),
+        bases_collapsed=shard_bases - adopted,
+        points_resimulated=playback.points_resimulated,
+        shard_stats=[outcome.stats for outcome in outcomes],
+        shards_resumed=len(loaded),
+        supervision=reports[0] if reports else None,
+    )
+    return result
 
 
 class ParallelExplorer:
@@ -475,11 +590,9 @@ class ParallelExplorer:
     (and in this implementation even reuse decisions and counters) are
     bit-identical to the serial explorer for any ``workers``.  The merged
     basis store is available as ``store`` afterwards, exactly like the
-    serial explorer's.
-
-    ``store_factory`` builds each worker's shard-local store *and* the
-    merged store; by default it mirrors the serial constructor
-    (``mapping_family`` + ``index_strategy`` + shared estimator).
+    serial explorer's.  Each worker's shard-local store mirrors the
+    serial constructor's (``mapping_family`` + ``index_strategy`` +
+    shared estimator).
 
     ``basis_store`` warm-starts the sweep: a caller-provided (typically
     snapshot-loaded, see :mod:`repro.core.persist`) store becomes the
@@ -503,7 +616,6 @@ class ParallelExplorer:
         mapping_family: Optional[MappingFamily] = None,
         seed_bank: Optional[SeedBank] = None,
         estimator: Optional[Estimator] = None,
-        store_factory: Optional[Callable[[], BasisStore]] = None,
         adaptive: Optional[AdaptiveBudget] = None,
         basis_store: Optional[BasisStore] = None,
         supervision: Optional[SupervisionPolicy] = None,
@@ -522,22 +634,13 @@ class ParallelExplorer:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         self.simulation = simulation
-        self._batch_simulation = make_batch_simulation(simulation)
         self.samples_per_point = samples_per_point
         self.fingerprint_size = fingerprint_size
         self.seed_bank = seed_bank or DEFAULT_SEED_BANK
         self.estimator = estimator or Estimator()
         self.adaptive = adaptive
-        if store_factory is None:
-
-            def store_factory() -> BasisStore:
-                return BasisStore(
-                    mapping_family=mapping_family,
-                    index_strategy=index_strategy,
-                    estimator=self.estimator,
-                )
-
-        self._store_factory = store_factory
+        self._index_strategy = index_strategy
+        self._mapping_family = mapping_family
         # A repro.api.Session stands in for its store wherever a
         # basis_store is accepted (duck-typed: no core -> api import).
         if basis_store is not None and hasattr(
@@ -545,135 +648,42 @@ class ParallelExplorer:
         ):
             basis_store = basis_store.resolve_basis_store()
         # `is None`, not `or`: an empty warm store is falsy (len() == 0)
-        # and must still win over the factory default.
+        # and must still win over the default.
         self.store = (
-            basis_store if basis_store is not None else store_factory()
+            basis_store if basis_store is not None else self._new_store()
         )
-        self._fingerprint_slice = self.seed_bank.slice(fingerprint_size)
         self.supervision = supervision
         self.checkpoint = checkpoint
 
-    def _checkpoint_config(self, points, shards) -> dict:
-        adaptive = None
-        if self.adaptive is not None:
-            budget = self.adaptive
-            adaptive = {
-                "rtol": float(budget.rtol).hex(),
-                "atol": float(budget.atol).hex(),
-                "confidence": float(budget.confidence).hex(),
-                "max_samples": budget.max_samples,
-                "min_samples": budget.min_samples,
-                "method": budget.method,
-            }
-        return {
-            "engine": "explorer",
-            "space": space_digest(points),
-            "shard_sizes": [len(shard) for shard in shards],
-            "samples_per_point": int(self.samples_per_point),
-            "fingerprint_size": int(self.fingerprint_size),
-            "seed_master": int(self.seed_bank.master_seed),
-            "adaptive": adaptive,
-        }
-
-    def run(self, space: Iterable[Params]) -> ExplorationResult:
-        """Explore every point of ``space``: speculate in shards, then merge.
-
-        With ``checkpoint`` set, completed-shard outcomes are persisted as
-        they arrive and a restarted run consumes the valid records,
-        recomputing only the remainder — determinism makes the merged
-        result bit-identical to an uninterrupted run either way.
-        """
-        points = [dict(p) for p in space]
-        slices = shard_slices(len(points), self.workers)
-        shards = [points[s] for s in slices]
-        context = _ExplorerShardContext(
-            simulation=self.simulation,
-            shards=shards,
-            samples_per_point=self.samples_per_point,
-            fingerprint_size=self.fingerprint_size,
-            fingerprint_slice=self._fingerprint_slice,
+    def _new_store(self) -> BasisStore:
+        return BasisStore(
+            mapping_family=self._mapping_family,
+            index_strategy=self._index_strategy,
             estimator=self.estimator,
-            store_factory=self._store_factory,
-            adaptive=self.adaptive,
         )
-        loaded: Dict[int, _ShardOutcome] = {}
-        on_complete = None
-        if self.checkpoint is not None:
-            from repro.core.persist import SweepCheckpoint
 
-            store = SweepCheckpoint(
-                self.checkpoint, self._checkpoint_config(points, shards)
-            )
-            loaded = {
-                index: _decode_explorer_outcome(meta, arrays)
-                for index, (meta, arrays) in store.load().items()
-                if 0 <= index < len(shards)
-            }
-
-            def on_complete(index: int, outcome: _ShardOutcome) -> None:
-                store.record(index, *_encode_explorer_outcome(outcome))
-
-        remaining = [i for i in range(len(shards)) if i not in loaded]
-        reports: List[SupervisionReport] = []
-        by_index = dict(loaded)
-        if remaining:
-            computed = fork_map(
-                _run_explorer_shard,
-                context,
-                len(shards),
-                self.workers,
-                policy=self.supervision,
-                indices=remaining,
-                on_shard_complete=on_complete,
-                report_sink=reports.append,
-            )
-            by_index.update(zip(remaining, computed))
-        outcomes = [by_index[index] for index in range(len(shards))]
-        result = self._merge(points, outcomes)
-        if result.parallel is not None:
-            result.parallel.shards_resumed = len(loaded)
-            result.parallel.supervision = reports[0] if reports else None
-        return result
-
-    def _merge(
-        self,
-        points: List[Dict[str, float]],
-        outcomes: List[_ShardOutcome],
-    ) -> ExplorationResult:
-        """Replay the canonical sweep order against one merged store.
-
-        Runs the *actual* serial explorer over the full space with a
-        :class:`_PlaybackSimulation` as the simulation — so reuse
-        decisions, per-point metrics, and counters are serial by
-        construction, and cross-shard duplicate bases collapse exactly
-        where a serial sweep would have reused them.
-        """
-        records = [
-            record for outcome in outcomes for record in outcome.records
-        ]
-        playback = _PlaybackSimulation(records, self._batch_simulation)
-        replay = ParameterExplorer(
-            playback,
+    def _serial(self, store: BasisStore) -> ParameterExplorer:
+        return ParameterExplorer(
+            self.simulation,
             samples_per_point=self.samples_per_point,
             fingerprint_size=self.fingerprint_size,
-            basis_store=self.store,
+            basis_store=store,
             seed_bank=self.seed_bank,
             estimator=self.estimator,
             adaptive=self.adaptive,
         )
-        playback.bind(replay._fingerprint_seeds)
-        result = replay.run(points)
-        parallel = ParallelStats(
+
+    def run(self, space: Iterable[Params]) -> ExplorationResult:
+        """Explore every point of ``space``: speculate in shards, then merge
+        (see :func:`sharded_sweep`; ``checkpoint`` makes it resumable)."""
+        return sharded_sweep(
+            self._serial(self.store),
+            lambda: self._serial(self._new_store()),
+            [dict(p) for p in space],
+            columns=(VALUE,),
+            stats_type=ExplorerStats,
+            identity={"engine": "explorer"},
             workers=self.workers,
-            shard_sizes=tuple(len(o.records) for o in outcomes),
-            shard_samples_drawn=sum(
-                o.stats.samples_drawn for o in outcomes
-            ),
-            points_resimulated=playback.points_resimulated,
-            shard_stats=[o.stats for o in outcomes],
+            supervision=self.supervision,
+            checkpoint=self.checkpoint,
         )
-        shard_bases = sum(o.stats.bases_created for o in outcomes)
-        adopted = result.stats.bases_created - parallel.points_resimulated
-        parallel.bases_collapsed = shard_bases - adopted
-        result.parallel = parallel
-        return result

@@ -114,8 +114,17 @@ CHECKPOINT_MAGIC = "jigsaw-sweep-checkpoint"
 
 #: Checkpoint format version; bumped under the same procedure as
 #: :data:`SNAPSHOT_VERSION` (see the ROADMAP) — older checkpoints must
-#: stay loadable or be explicitly migrated, newer ones are refused.
-CHECKPOINT_VERSION = 1
+#: stay loadable or be explicitly refused, newer ones are refused.
+#:
+#: Version history:
+#:
+#: 1. initial format: separate explorer and scenario shard-record layouts.
+#: 2. one shard-record layout for both engines: per-column arrays
+#:    ``fp{point}c{column}`` / ``s{point}c{column}`` (samples hold only the
+#:    rounds past the fingerprint), ``simulated`` flags, and the stats
+#:    dataclass fields.  Version-1 checkpoints are refused with a
+#:    regeneration hint (:class:`~repro.errors.SnapshotCompatibilityError`).
+CHECKPOINT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -829,9 +838,9 @@ class SweepCheckpoint:
         Returns an empty mapping when no checkpoint exists yet *or* the
         existing one is corrupt (recompute-all fallback); raises
         :class:`~repro.errors.SnapshotCompatibilityError` when an intact
-        checkpoint belongs to a different sweep configuration.  Loaded
-        records also re-seed this instance, so subsequent :meth:`record`
-        calls preserve them.
+        checkpoint belongs to a different sweep configuration or another
+        format version.  Loaded records also re-seed this instance, so
+        subsequent :meth:`record` calls preserve them.
         """
         if not os.path.isdir(self.path):
             return {}
@@ -844,6 +853,15 @@ class SweepCheckpoint:
             )
         except SnapshotCorruptionError:
             return {}
+        if body["version"] < CHECKPOINT_VERSION:
+            # Intact but unreadable: refuse rather than recompute as if it
+            # were corrupt, so a resume never silently discards its work.
+            raise SnapshotCompatibilityError(
+                f"sweep checkpoint at {self.path!r} has format version "
+                f"{body['version']}; this build reads version "
+                f"{CHECKPOINT_VERSION} only.  Move it aside (or delete it) "
+                f"and rerun the sweep to regenerate it"
+            )
         if body.get("config") != self.config:
             raise SnapshotCompatibilityError(
                 f"sweep checkpoint at {self.path!r} belongs to a different "

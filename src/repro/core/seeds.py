@@ -211,5 +211,31 @@ class SeedBank:
         return f"SeedBank(master_seed={self._master_seed:#x})"
 
 
+class SweepSeeds:
+    """A sweep's seed arrays by round range ``(count, start)``.
+
+    Every point of a sweep draws its fingerprint rounds ``[0, m)`` and, at
+    a fixed budget, its completion rounds ``[m, n)`` under the same seeds,
+    so those two arrays are derived once; only an adaptive budget's other
+    blocks derive theirs per call.
+    """
+
+    def __init__(
+        self, bank: SeedBank, fingerprint_size: int, samples_per_point: int
+    ):
+        self._bank = bank
+        self._fingerprint = bank.seed_array(fingerprint_size)
+        self._completion = bank.seed_array(
+            samples_per_point - fingerprint_size, start=fingerprint_size
+        )
+
+    def __call__(self, count: int, start: int) -> np.ndarray:
+        if start == 0 and count == self._fingerprint.size:
+            return self._fingerprint
+        if start == self._fingerprint.size and count == self._completion.size:
+            return self._completion
+        return self._bank.seed_array(count, start=start)
+
+
 DEFAULT_SEED_BANK = SeedBank()
 """Module-level bank used when callers do not supply one explicitly."""

@@ -12,22 +12,18 @@ one unmappable column forces the full simulation for the whole row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.blackbox.base import ParamKey, param_key
-from repro.core.adaptive import AdaptiveBudget, next_target
+from repro.core.adaptive import AdaptiveBudget, grow_samples
 from repro.core.basis import BasisStore
 from repro.core.estimator import Estimator, MetricSet
+from repro.core.explorer import Rounds
 from repro.core.fingerprint import Fingerprint
-from repro.core.parallel import (
-    ParallelStats,
-    fork_map,
-    shard_slices,
-    space_digest,
-)
-from repro.core.supervise import SupervisionPolicy, SupervisionReport
+from repro.core.parallel import ParallelStats, sharded_sweep
+from repro.core.supervise import SupervisionPolicy
 from repro.core.mapping import (
     IdentityMappingFamily,
     LinearMappingFamily,
@@ -35,7 +31,7 @@ from repro.core.mapping import (
     MappingFamily,
 )
 from repro.core.optimizer import ResultRow, Selector
-from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank
+from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, SweepSeeds
 from repro.probdb.expressions import BatchUnsupported
 from repro.scenario.scenario import Scenario
 
@@ -90,92 +86,6 @@ class ScenarioResult:
         return len(self.metrics)
 
 
-@dataclass
-class _ScenarioPointRecord:
-    """One point's shipped outcome: per-column fingerprints, and — when the
-    shard fully simulated the point — per-column full sample vectors."""
-
-    fingerprints: Dict[str, np.ndarray]
-    samples: Optional[Dict[str, np.ndarray]]
-
-
-@dataclass
-class _ScenarioShardContext:
-    """Inherited-by-fork description of a sharded scenario sweep."""
-
-    runner_factory: "object"
-    shards: List[List[Dict[str, float]]]
-
-
-def _run_scenario_shard(
-    context: _ScenarioShardContext, index: int
-) -> Tuple[List[_ScenarioPointRecord], RunnerStats]:
-    runner = context.runner_factory()
-    stats = RunnerStats()
-    records: List[_ScenarioPointRecord] = []
-    for point in context.shards[index]:
-        _, record = runner._run_point(point, stats)
-        records.append(record)
-        stats.points_total += 1
-    return records, stats
-
-
-def _encode_scenario_outcome(
-    columns: Tuple[str, ...],
-    outcome: Tuple[List[_ScenarioPointRecord], RunnerStats],
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Checkpoint encoding of one scenario shard outcome.
-
-    Column arrays are keyed positionally (``fp{point}c{column}``) — the
-    checkpoint config pins the column list, so positions are stable."""
-    records, stats = outcome
-    arrays: Dict[str, np.ndarray] = {}
-    meta_records = []
-    for position, record in enumerate(records):
-        for col, column in enumerate(columns):
-            arrays[f"fp{position}c{col}"] = np.asarray(
-                record.fingerprints[column], dtype=np.float64
-            )
-        meta_records.append({"samples": record.samples is not None})
-        if record.samples is not None:
-            for col, column in enumerate(columns):
-                arrays[f"s{position}c{col}"] = np.asarray(
-                    record.samples[column], dtype=np.float64
-                )
-    meta = {
-        "records": meta_records,
-        "stats": {
-            "points_total": int(stats.points_total),
-            "points_reused": int(stats.points_reused),
-            "rounds_executed": int(stats.rounds_executed),
-            "bases_created": int(stats.bases_created),
-        },
-    }
-    return meta, arrays
-
-
-def _decode_scenario_outcome(
-    columns: Tuple[str, ...], meta: dict, arrays: Dict[str, np.ndarray]
-) -> Tuple[List[_ScenarioPointRecord], RunnerStats]:
-    records = []
-    for position, entry in enumerate(meta["records"]):
-        fingerprints = {
-            column: np.asarray(arrays[f"fp{position}c{col}"])
-            for col, column in enumerate(columns)
-        }
-        samples = None
-        if entry["samples"]:
-            samples = {
-                column: np.asarray(arrays[f"s{position}c{col}"])
-                for col, column in enumerate(columns)
-            }
-        records.append(_ScenarioPointRecord(fingerprints, samples))
-    stats = RunnerStats(
-        **{key: int(value) for key, value in meta["stats"].items()}
-    )
-    return records, stats
-
-
 class ScenarioRunner:
     """Executes a scenario over its whole parameter space with reuse.
 
@@ -224,6 +134,9 @@ class ScenarioRunner:
         self.checkpoint = checkpoint
         self._index_strategy = index_strategy
         self._family_overrides = dict(column_families or {})
+        self._seeds = SweepSeeds(
+            self.seed_bank, fingerprint_size, samples_per_point
+        )
         self._stores: Dict[str, BasisStore] = {}
         for column in scenario.output_columns:
             family = self._family_overrides.get(
@@ -313,30 +226,6 @@ class ScenarioRunner:
             adaptive=self.adaptive,
         )
 
-    def _checkpoint_config(self, points, shards) -> dict:
-        adaptive = None
-        if self.adaptive is not None:
-            budget = self.adaptive
-            adaptive = {
-                "rtol": float(budget.rtol).hex(),
-                "atol": float(budget.atol).hex(),
-                "confidence": float(budget.confidence).hex(),
-                "max_samples": budget.max_samples,
-                "min_samples": budget.min_samples,
-                "method": budget.method,
-            }
-        return {
-            "engine": "scenario",
-            "space": space_digest(points),
-            "shard_sizes": [len(shard) for shard in shards],
-            "samples_per_point": int(self.samples_per_point),
-            "fingerprint_size": int(self.fingerprint_size),
-            "seed_master": int(self.seed_bank.master_seed),
-            "columns": list(self.scenario.output_columns),
-            "use_fingerprints": bool(self.use_fingerprints),
-            "adaptive": adaptive,
-        }
-
     def run(self) -> ScenarioResult:
         if (
             self.workers > 1
@@ -348,120 +237,32 @@ class ScenarioRunner:
             # unit, supervision watches shard attempts, and the canonical
             # replay makes the result bit-identical to the plain serial
             # loop regardless.
-            return self._run_parallel()
-        result = ScenarioResult()
-        for point in self.scenario.space.points():
-            key = param_key(point)
-            result.points[key] = dict(point)
-            metrics, _ = self._run_point(point, result.stats)
-            result.metrics[key] = metrics
-            result.stats.points_total += 1
-        return result
-
-    def _run_parallel(self) -> ScenarioResult:
-        """Shard, speculate, then replay the canonical order.
-
-        The replay runs the *actual* serial loop (``_run_point``) with a
-        playback rounds-provider serving the workers' recorded sample
-        vectors, so per-point metrics and counters are serial by
-        construction; only a point a shard speculatively reused but the
-        canonical order must simulate falls through to the real rounds.
-        """
-        points = list(self.scenario.space.points())
-        slices = shard_slices(len(points), self.workers)
-        shards = [points[s] for s in slices]
-        context = _ScenarioShardContext(self._clone_serial, shards)
-        columns = tuple(self.scenario.output_columns)
-        loaded: Dict[int, Tuple[List[_ScenarioPointRecord], RunnerStats]] = {}
-        on_complete = None
-        if self.checkpoint is not None:
-            from repro.core.persist import SweepCheckpoint
-
-            checkpoint_store = SweepCheckpoint(
-                self.checkpoint, self._checkpoint_config(points, shards)
+            return sharded_sweep(
+                self,
+                self._clone_serial,
+                list(self.scenario.space.points()),
+                columns=tuple(self.scenario.output_columns),
+                stats_type=RunnerStats,
+                identity={
+                    "engine": "scenario",
+                    "use_fingerprints": bool(self.use_fingerprints),
+                },
+                workers=self.workers,
+                supervision=self.supervision,
+                checkpoint=self.checkpoint,
             )
-            loaded = {
-                index: _decode_scenario_outcome(columns, meta, arrays)
-                for index, (meta, arrays) in checkpoint_store.load().items()
-                if 0 <= index < len(shards)
-            }
+        return self._sweep(self.scenario.space.points(), self._simulate_rounds)
 
-            def on_complete(index, outcome) -> None:
-                checkpoint_store.record(
-                    index, *_encode_scenario_outcome(columns, outcome)
-                )
-
-        remaining = [i for i in range(len(shards)) if i not in loaded]
-        reports: List[SupervisionReport] = []
-        by_index = dict(loaded)
-        if remaining:
-            computed = fork_map(
-                _run_scenario_shard,
-                context,
-                len(shards),
-                self.workers,
-                policy=self.supervision,
-                indices=remaining,
-                on_shard_complete=on_complete,
-                report_sink=reports.append,
-            )
-            by_index.update(zip(remaining, computed))
-        outcomes = [by_index[index] for index in range(len(shards))]
-        parallel = ParallelStats(
-            workers=self.workers,
-            shard_sizes=tuple(len(records) for records, _ in outcomes),
-            shard_samples_drawn=sum(
-                stats.rounds_executed for _, stats in outcomes
-            ),
-            shard_stats=[stats for _, stats in outcomes],
-            shards_resumed=len(loaded),
-            supervision=reports[0] if reports else None,
-        )
-        shard_bases = sum(stats.bases_created for _, stats in outcomes)
-        records = [
-            record for shard_records, _ in outcomes
-            for record in shard_records
-        ]
-        cursor = {"index": -1, "resimulated": -1}
-
-        def playback_rounds(
-            point: Dict[str, float], count: int, start: int
-        ) -> Dict[str, np.ndarray]:
-            if start == 0:  # fingerprint rounds open each point's replay
-                cursor["index"] += 1
-                return records[cursor["index"]].fingerprints
-            record = records[cursor["index"]]
-            if record.samples is not None:
-                # Serve the requested round range; an adaptive budget asks
-                # for several blocks per point, each a slice of the
-                # shard's recorded draw (identical schedule by purity of
-                # the stopping rule in the sample values).
-                return {
-                    column: samples[start:start + count]
-                    for column, samples in record.samples.items()
-                }
-            if cursor["resimulated"] != cursor["index"]:
-                # Count resimulated points, not completion calls.
-                cursor["resimulated"] = cursor["index"]
-                parallel.points_resimulated += 1
-            return self._simulate_rounds(point, count, start)
-
+    def _sweep(
+        self, points: Iterable[Dict[str, float]], rounds: Rounds
+    ) -> ScenarioResult:
+        """The serial loop over ``points`` with an injected rounds provider
+        (the sharded engine's shard jobs and canonical replay run it too)."""
         result = ScenarioResult()
         for point in points:
             key = param_key(point)
             result.points[key] = dict(point)
-            metrics, _ = self._run_point(
-                point, result.stats, simulate_rounds=playback_rounds
-            )
-            result.metrics[key] = metrics
-            result.stats.points_total += 1
-        adopted = (
-            result.stats.bases_created
-            - parallel.points_resimulated
-            * len(self.scenario.output_columns)
-        )
-        parallel.bases_collapsed = shard_bases - adopted
-        result.parallel = parallel
+            result.metrics[key] = self._run_point(point, result.stats, rounds)
         return result
 
     def _simulate_rounds(
@@ -469,7 +270,7 @@ class ScenarioRunner:
     ) -> Dict[str, np.ndarray]:
         """``count`` Monte Carlo rounds for every column, batched when the
         scenario plan supports it (bit-identical to the per-seed loop)."""
-        seeds = self.seed_bank.seed_array(count, start=start)
+        seeds = self._seeds(count, start)
         try:
             columns = self.scenario.simulate_batch(point, seeds)
             return {
@@ -488,24 +289,21 @@ class ScenarioRunner:
             }
 
     def _run_point(
-        self,
-        point: Dict[str, float],
-        stats: RunnerStats,
-        simulate_rounds=None,
-    ) -> Tuple[Dict[str, MetricSet], _ScenarioPointRecord]:
+        self, point: Dict[str, float], stats: RunnerStats, rounds: Rounds
+    ) -> Dict[str, MetricSet]:
         """One point of the sweep: probe, reuse or fully simulate.
 
-        ``simulate_rounds`` optionally overrides :meth:`_simulate_rounds`
-        — the parallel replay injects a playback provider here so this
-        exact code path (and its accounting) serves both modes.
+        ``rounds`` serves the point's Monte Carlo rounds: the live
+        :meth:`_simulate_rounds` in a serial run, the sharded engine's
+        recording or playback provider otherwise, so this exact code path
+        (and its accounting) serves every mode.
         """
-        if simulate_rounds is None:
-            simulate_rounds = self._simulate_rounds
         columns = self.scenario.output_columns
         m = self.fingerprint_size
+        stats.points_total += 1
 
         # Fingerprint rounds (double as the first m simulation rounds).
-        column_values = simulate_rounds(point, m, 0)
+        column_values = rounds(point, m, 0)
         stats.rounds_executed += m
 
         if self.use_fingerprints:
@@ -523,52 +321,24 @@ class ScenarioRunner:
                 matches[column] = matched
             if len(matches) == len(columns):
                 stats.points_reused += 1
-                return (
-                    {
-                        column: self._stores[column].metrics_for(
-                            basis, mapping  # type: ignore[arg-type]
-                        )
-                        for column, (basis, mapping) in matches.items()
-                    },
-                    _ScenarioPointRecord(column_values, None),
-                )
+                return {
+                    column: self._stores[column].metrics_for(
+                        basis, mapping  # type: ignore[arg-type]
+                    )
+                    for column, (basis, mapping) in matches.items()
+                }
 
         # Full simulation: complete the remaining rounds and register bases.
-        # One Monte Carlo round costs every column jointly, so the adaptive
-        # stopping decision is joint too: rounds keep growing until EVERY
-        # column's confidence interval is inside tolerance (or the fixed
-        # budget is exhausted) — mirroring how one unmappable column forces
-        # the whole row's simulation in the reuse decision.
-        if self.adaptive is None:
-            remaining = simulate_rounds(point, self.samples_per_point - m, m)
-            stats.rounds_executed += self.samples_per_point - m
-            column_samples = {
-                column: np.concatenate(
-                    [column_values[column], remaining[column]]
-                )
-                for column in columns
-            }
-        else:
-            cap = max(m, self.adaptive.cap(self.samples_per_point))
-            column_samples = {
-                column: np.asarray(column_values[column], dtype=float)
-                for column in columns
-            }
-            size = m
-            while size < cap and not all(
-                self.adaptive.satisfied_by(column_samples[column])
-                for column in columns
-            ):
-                target = next_target(size, cap, self.adaptive)
-                block = simulate_rounds(point, target - size, size)
-                column_samples = {
-                    column: np.concatenate(
-                        [column_samples[column], block[column]]
-                    )
-                    for column in columns
-                }
-                size = target
-            stats.rounds_executed += size - m
+        # One Monte Carlo round costs every column jointly, so an adaptive
+        # stopping decision is joint too — mirroring how one unmappable
+        # column forces the whole row's simulation in the reuse decision.
+        column_samples = grow_samples(
+            column_values,
+            lambda start, count: rounds(point, count, start),
+            self.samples_per_point,
+            self.adaptive,
+        )
+        stats.rounds_executed += len(column_samples[columns[0]]) - m
 
         metrics: Dict[str, MetricSet] = {}
         for column in columns:
@@ -580,7 +350,7 @@ class ScenarioRunner:
                 metrics[column] = basis.metrics
             else:
                 metrics[column] = self.estimator.estimate(samples)
-        return metrics, _ScenarioPointRecord(column_values, column_samples)
+        return metrics
 
 
 def boolean_column_families(

@@ -236,7 +236,11 @@ class BasisServer:
         """
         if install_signals:
             self.install_signal_handlers()
-        self.shutdown_requested.wait()
+        # Wait in short polls: a process-directed SIGTERM can land on a
+        # worker thread, and CPython then runs the Python handler only
+        # when the main thread next wakes — an untimed wait never does.
+        while not self.shutdown_requested.wait(_READ_POLL_SECONDS):
+            pass
         self.stop(drain=True)
         return 130 if self._interrupted else 0
 

@@ -144,6 +144,42 @@ def _assert_scenario_parity(result, serial):
     assert result.stats == serial.stats
 
 
+#: Both front ends of the sharded engine, for tests that run either.
+ENGINES = ("explorer", "scenario")
+
+
+def _serial(engine):
+    if engine == "explorer":
+        return _serial_exploration()
+    return _serial_scenario_result()
+
+
+def _sharded(engine, workers, **kwargs):
+    """One sharded sweep of ``engine`` (constructed fresh, then run)."""
+    if engine == "explorer":
+        explorer, points = _parallel_explorer(workers, **kwargs)
+        return explorer.run(points)
+    return _scenario_runner(workers, **kwargs).run()
+
+
+def _assert_parity(engine, result, serial):
+    if engine == "explorer":
+        _assert_exploration_parity(result, serial)
+    else:
+        _assert_scenario_parity(result, serial)
+
+
+def _assert_same_speculation(result, undisturbed):
+    """Shard-side accounting equals an undisturbed run's: recovery and
+    resumes recompute shards exactly, speculation included."""
+    got, want = result.parallel, undisturbed.parallel
+    assert got.shard_sizes == want.shard_sizes
+    assert got.shard_stats == want.shard_stats
+    assert got.shard_samples_drawn == want.shard_samples_drawn
+    assert got.bases_collapsed == want.bases_collapsed
+    assert got.points_resimulated == want.points_resimulated
+
+
 class TestExplorerChaosParity:
     """ParallelExplorer under every fault plan: bit-identical to serial."""
 
@@ -156,6 +192,9 @@ class TestExplorerChaosParity:
         with use_faults(make_plan()) as plan:
             result = explorer.run(points)
         _assert_exploration_parity(result, serial)
+        _assert_same_speculation(
+            result, _sharded("explorer", workers, supervision=policy)
+        )
         assert plan.triggered, "fault plan never fired"
         report = result.parallel.supervision
         assert report is not None
@@ -176,6 +215,9 @@ class TestScenarioChaosParity:
         with use_faults(make_plan()) as plan:
             result = runner.run()
         _assert_scenario_parity(result, serial)
+        _assert_same_speculation(
+            result, _sharded("scenario", workers, supervision=policy)
+        )
         assert plan.triggered, "fault plan never fired"
         if fault_case == "exhaust_then_degrade":
             assert result.parallel.supervision.degraded_shards == (0,)
@@ -203,27 +245,23 @@ class TestCheckpointResume:
         # Nothing was left to supervise.
         assert resumed.parallel.supervision is None
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupted_sweep_resumes_only_the_remainder(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, engine
     ):
         # Inline execution (no fork pool) accepts shards in order, which
         # makes the interrupt point — and therefore the resume count —
         # deterministic: shard 0 lands in the checkpoint, shard 1 dies.
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        serial = _serial_exploration()
-        explorer, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
+        checkpoint = str(tmp_path / "ckpt")
         with use_faults(FaultPlan({(1, 1): "interrupt"})) as plan:
             with pytest.raises(KeyboardInterrupt):
-                explorer.run(points)
+                _sharded(engine, 2, checkpoint=checkpoint)
         assert plan.triggered == [(1, 1, "interrupt")]
 
-        rerun, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
-        result = rerun.run(points)
-        _assert_exploration_parity(result, serial)
+        result = _sharded(engine, 2, checkpoint=checkpoint)
+        _assert_parity(engine, result, _serial(engine))
+        _assert_same_speculation(result, _sharded(engine, 2))
         assert result.parallel.shards_resumed == 1
 
     def test_scenario_checkpoint_round_trip(self, tmp_path, workers):
@@ -249,55 +287,42 @@ class TestCheckpointResume:
         ).run()
         _assert_scenario_parity(checkpointed, serial)
 
-    def test_mismatched_configuration_is_refused(self, tmp_path):
-        explorer, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
-        explorer.run(points)
-        other, points = _parallel_explorer(
-            4, checkpoint=str(tmp_path / "ckpt")
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mismatched_configuration_is_refused(self, tmp_path, engine):
+        checkpoint = str(tmp_path / "ckpt")
+        _sharded(engine, 2, checkpoint=checkpoint)
         with pytest.raises(SnapshotCompatibilityError) as excinfo:
-            other.run(points)
+            _sharded(engine, 4, checkpoint=checkpoint)
         assert isinstance(excinfo.value, JigsawError)
 
-    def test_corrupt_checkpoint_recomputes_everything(self, tmp_path):
-        serial = _serial_exploration()
-        explorer, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
-        explorer.run(points)
-        corrupt_array_file(str(tmp_path / "ckpt"))
-        rerun, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
-        result = rerun.run(points)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_corrupt_checkpoint_recomputes_everything(self, tmp_path, engine):
+        checkpoint = str(tmp_path / "ckpt")
+        _sharded(engine, 2, checkpoint=checkpoint)
+        corrupt_array_file(checkpoint)
+        result = _sharded(engine, 2, checkpoint=checkpoint)
         assert result.parallel.shards_resumed == 0
-        _assert_exploration_parity(result, serial)
+        _assert_parity(engine, result, _serial(engine))
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_corruption_injected_at_the_last_write(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, engine
     ):
         # Each record rewrites the whole directory, so only damage to the
         # *final* write survives; schedule exactly that, then prove the
         # resume detects it and recomputes instead of loading garbage.
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        serial = _serial_exploration()
-        explorer, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
+        serial = _serial(engine)
+        checkpoint = str(tmp_path / "ckpt")
         with use_faults(FaultPlan(corrupt_checkpoint_after=2)) as plan:
-            first = explorer.run(points)
+            first = _sharded(engine, 2, checkpoint=checkpoint)
         assert plan.checkpoints_written == 2
         assert plan.checkpoints_corrupted == 1
-        _assert_exploration_parity(first, serial)
+        _assert_parity(engine, first, serial)
 
-        rerun, points = _parallel_explorer(
-            2, checkpoint=str(tmp_path / "ckpt")
-        )
-        result = rerun.run(points)
+        result = _sharded(engine, 2, checkpoint=checkpoint)
         assert result.parallel.shards_resumed == 0
-        _assert_exploration_parity(result, serial)
+        _assert_parity(engine, result, serial)
 
 
 class TestCliInterruptBoundary:

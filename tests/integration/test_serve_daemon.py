@@ -19,6 +19,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -200,6 +202,40 @@ def _boot_daemon(snapshot, tmp_path, extra_args=()):
 
 
 class TestSignals:
+    def test_sigterm_on_a_worker_thread_still_stops_serve_forever(
+        self, snapshot
+    ):
+        # A process-directed signal may run its C handler on any thread;
+        # the main thread must still notice it while serve_forever waits.
+        server = BasisServer(Session.open(snapshot)).start()
+        previous = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        rescued = []
+
+        def signal_from_worker_thread():
+            # Give the main thread time to block inside serve_forever.
+            time.sleep(0.5)
+            signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+            # Without a wake-up the main thread would wait forever; set
+            # the event directly after a grace period so a failure is an
+            # assertion, not a hung test run.
+            if not server.shutdown_requested.wait(10):
+                rescued.append(True)
+                server.shutdown_requested.set()
+
+        worker = threading.Thread(target=signal_from_worker_thread)
+        try:
+            server.install_signal_handlers()
+            worker.start()
+            assert server.serve_forever(install_signals=False) == 0
+        finally:
+            worker.join()
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        assert rescued == []
+
     def test_sigterm_drains_flushes_and_exits_0(self, snapshot, tmp_path):
         out = str(tmp_path / "flushed")
         process, host, port, _ = _boot_daemon(

@@ -297,9 +297,9 @@ class TestConfidenceInterval:
         widths = []
 
         def draw(start, count):
-            return rng.normal(10.0, 2.0, size=count)
+            return {"x": rng.normal(10.0, 2.0, size=count)}
 
-        samples = grow_samples(draw(0, 10), draw, cap=2048, policy=policy)
+        samples = grow_samples(draw(0, 10), draw, 2048, policy)["x"]
         size = 10
         while size < 2048:
             size = next_target(size, 2048, policy)
@@ -315,6 +315,32 @@ class TestConfidenceInterval:
         # Noise can wiggle one step; the trend must be strictly downward.
         assert widths[-1] < widths[0] / 3
         assert all(b < a * 1.05 for a, b in zip(widths, widths[1:]))
+
+    def test_fixed_budget_is_one_block_and_stopping_is_joint(self):
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def draw(start, count):
+            calls.append((start, count))
+            return {
+                "flat": np.full(count, 5.0),
+                "noisy": rng.normal(10.0, 50.0, size=count),
+            }
+
+        fixed = grow_samples(draw(0, 10), draw, 1000)
+        assert calls[1:] == [(10, 990)]
+        assert {len(v) for v in fixed.values()} == {1000}
+
+        # The flat column alone would stop at min_samples; the noisy one
+        # keeps every column growing, block by block, to the cap.
+        del calls[:]
+        grown = grow_samples(
+            draw(0, 10), draw, 1000, AdaptiveBudget(rtol=0.01)
+        )
+        assert calls[1:] == [
+            (10, 22), (32, 32), (64, 64), (128, 128), (256, 256), (512, 488)
+        ]
+        assert {len(v) for v in grown.values()} == {1000}
 
     def test_estimator_converged_on_metric_sets(self):
         estimator = Estimator()

@@ -8,6 +8,7 @@ different sweep configuration is refused with a typed error.
 
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.core.persist import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
     SweepCheckpoint,
+    _canonical,
 )
 from repro.errors import JigsawError, SnapshotCompatibilityError
 from repro.testing import corrupt_array_file
@@ -30,6 +32,17 @@ def _record(checkpoint, index):
         {"kind": "outcome", "index": index},
         {"values": np.arange(4, dtype=np.float64) + index},
     )
+
+
+def _rewrite_body(path, **changes):
+    """Edit an intact checkpoint's manifest body, re-sealing its CRC."""
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["body"].update(changes)
+    manifest["crc32"] = zlib.crc32(_canonical(manifest["body"]))
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
 
 
 class TestSweepCheckpoint:
@@ -96,20 +109,20 @@ class TestSweepCheckpoint:
     def test_newer_version_refuses_rather_than_discarding(self, tmp_path):
         path = str(tmp_path / "ckpt")
         _record(SweepCheckpoint(path, CONFIG), 0)
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["body"]["version"] = CHECKPOINT_VERSION + 1
-        import zlib
-
-        from repro.core.persist import _canonical
-
-        manifest["crc32"] = zlib.crc32(_canonical(manifest["body"]))
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        _rewrite_body(path, version=CHECKPOINT_VERSION + 1)
         # A *newer* intact checkpoint is a compatibility problem, not
         # corruption: silently recomputing would discard valid work.
         with pytest.raises(SnapshotCompatibilityError):
+            SweepCheckpoint(path, CONFIG).load()
+
+    def test_version_1_refuses_with_regeneration_hint(self, tmp_path):
+        # Version 2 changed the shard-record layout; an intact version-1
+        # checkpoint is refused with a hint, never recomputed as corrupt.
+        assert CHECKPOINT_VERSION == 2
+        path = str(tmp_path / "ckpt")
+        _record(SweepCheckpoint(path, CONFIG), 0)
+        _rewrite_body(path, version=1)
+        with pytest.raises(SnapshotCompatibilityError, match="regenerate"):
             SweepCheckpoint(path, CONFIG).load()
 
     def test_checkpoint_magic_distinct_from_store_snapshots(self, tmp_path):
@@ -120,15 +133,5 @@ class TestSweepCheckpoint:
         # corruption, which degrades to recompute-all.
         path = str(tmp_path / "ckpt")
         _record(SweepCheckpoint(path, CONFIG), 0)
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["body"]["magic"] = SNAPSHOT_MAGIC
-        import zlib
-
-        from repro.core.persist import _canonical
-
-        manifest["crc32"] = zlib.crc32(_canonical(manifest["body"]))
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        _rewrite_body(path, magic=SNAPSHOT_MAGIC)
         assert SweepCheckpoint(path, CONFIG).load() == {}

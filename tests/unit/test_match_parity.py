@@ -5,7 +5,8 @@ the same mapping parameters, and the same candidates-tested counters as the
 scalar reference loop — first-match-wins tie-breaking included — across
 every mapping family, index strategy, and store shape.  These tests force
 the vectorized path (``columnar_min_candidates = 0``, self-verification
-exhausted) and compare against stores built with ``columnar=False``.
+exhausted) and compare against stores whose cutover keeps every probe on
+the scalar loop (``columnar_min_candidates = SCALAR_ONLY``).
 """
 
 import numpy as np
@@ -95,14 +96,17 @@ PROBES = [
 ]
 
 
+#: A cutover no candidate list reaches: every probe takes the scalar loop.
+SCALAR_ONLY = 10**9
+
+
 def build_store(family_name, strategy, content_name, columnar):
     store = BasisStore(
         mapping_family=FAMILY_FACTORIES[family_name](),
         index_strategy=strategy,
-        columnar=columnar,
     )
+    store.columnar_min_candidates = 0 if columnar else SCALAR_ONLY
     if columnar:
-        store.columnar_min_candidates = 0
         store._verify_remaining = 0  # parity is asserted here, not masked
     for fingerprint in CONTENTS[content_name]:
         store.add(fingerprint, SAMPLES)
@@ -166,7 +170,7 @@ class TestMatchParity:
         and counters cannot depend on which path ran."""
         forced = build_store("linear", "array", "mixed", True)
         lazy = build_store("linear", "array", "mixed", True)
-        lazy.columnar_min_candidates = 10_000  # always scalar
+        lazy.columnar_min_candidates = SCALAR_ONLY
         for probe in PROBES:
             assert_same_match(lazy.match(probe), forced.match(probe))
         assert lazy.stats.as_dict() == forced.stats.as_dict()
@@ -240,10 +244,9 @@ class TestMergeParity:
         store = BasisStore(
             mapping_family=FAMILY_FACTORIES[family_name](),
             index_strategy=strategy,
-            columnar=columnar,
         )
+        store.columnar_min_candidates = 0 if columnar else SCALAR_ONLY
         if columnar:
-            store.columnar_min_candidates = 0
             store._verify_remaining = 0
         for fingerprint in fingerprints:
             store.add(fingerprint, SAMPLES)
@@ -324,10 +327,11 @@ class TestSelfVerification:
             assert store.match(_affine(BASE, 2.0, 1.0)) is not None
         assert store.columnar_enabled is True
 
-    def test_columnar_false_forces_scalar(self):
-        store = BasisStore(columnar=False)
+    def test_large_cutover_forces_scalar(self):
+        store = BasisStore()
+        store.columnar_min_candidates = SCALAR_ONLY
         store.add(BASE, SAMPLES)
-        assert store.columnar_enabled is False
+        store._match_columnar = None  # a columnar probe would fail loudly
         assert store.match(_affine(BASE, 2.0, 1.0)) is not None
 
 

@@ -1,8 +1,15 @@
 """Unit tests for the global seed bank (paper section 3.1)."""
 
+import numpy as np
 import pytest
 
-from repro.core.seeds import DEFAULT_SEED_BANK, SeedBank, derive_seed, mix64
+from repro.core.seeds import (
+    DEFAULT_SEED_BANK,
+    SeedBank,
+    SweepSeeds,
+    derive_seed,
+    mix64,
+)
 
 
 class TestMix64:
@@ -106,3 +113,16 @@ class TestSeedBank:
 
     def test_repr_mentions_master(self):
         assert "master_seed" in repr(SeedBank(3))
+
+
+class TestSweepSeeds:
+    def test_fixed_ranges_are_precomputed_and_others_derived(self):
+        bank = SeedBank(5)
+        seeds = SweepSeeds(bank, fingerprint_size=10, samples_per_point=100)
+        # The fingerprint and fixed-completion arrays are built once.
+        assert seeds(10, 0) is seeds(10, 0)
+        assert seeds(90, 10) is seeds(90, 10)
+        for count, start in ((10, 0), (90, 10), (22, 10), (5, 40)):
+            np.testing.assert_array_equal(
+                seeds(count, start), bank.seed_array(count, start=start)
+            )
